@@ -47,11 +47,14 @@ from .ode import (
 )
 from .pade import (
     HermitePadeResult,
+    MahlerDuality,
     PolyMatrix,
     hermite_pade,
+    mahler_duality,
     mahler_duality_check,
     q_matrix,
     schlesinger_matrix,
+    schlesinger_matrix_and_det,
     simultaneous_condition_table,
     simultaneous_pade,
 )

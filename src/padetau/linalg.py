@@ -2,8 +2,11 @@
 
 Determinants and solves run fraction-free: each row is scaled to clear
 denominators, elimination is integer Bareiss (exact divisions only), and
-the rational answer is recovered at the end. No pivoting heuristics beyond
-the first nonzero entry; exactness makes stability a non-issue.
+the rational answer is recovered at the end. One kernel, `bareiss`, does
+every elimination: `det_exact`, `solve_exact` (one or several right-hand
+sides) and, through `int_det`, the polynomial determinants in `pade`.
+No pivoting heuristics beyond the first nonzero entry; exactness makes
+stability a non-issue.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class ExactMatrix:
 
     def row(self, r: int) -> tuple[Fraction, ...]:
         return self._entries[r]
+
+    def __iter__(self):
+        """The entries in row-major order, as sympy's Matrix iterates."""
+        for row in self._entries:
+            yield from row
+
+    def __len__(self) -> int:
+        return self._rows * self._cols
 
     def is_square(self) -> bool:
         return self._rows == self._cols
@@ -203,16 +214,20 @@ def _clear_denominators(m: ExactMatrix) -> tuple[list[list[int]], Fraction]:
     return out, scale
 
 
-def det_exact(m: ExactMatrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination. Empty matrix: 1."""
-    if not m.is_square():
-        raise NotSquare(f"determinant of {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a, scale = _clear_denominators(m)
+def bareiss(a: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) elimination of the leading n columns, in place.
+
+    a holds n integer rows of equal width >= n; columns beyond n (augmented
+    right-hand sides) are carried through every step. Only exact integer
+    divisions occur. On return a is upper triangular in its leading n
+    columns and a[n-1][n-1] is the determinant of the leading block times
+    the returned sign (the parity of the row swaps). Returns 0 when a pivot
+    column is zero below the diagonal before the last step: the leading
+    block is singular and a is left partially eliminated.
+    """
     sign = 1
     prev = 1
+    width = len(a[0]) if n else 0
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):
@@ -221,54 +236,75 @@ def det_exact(m: ExactMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
             head = row_i[k]
-            row_k = a[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1]) / scale
+    return sign
 
 
-def solve_exact(m: ExactMatrix, rhs: Sequence[int | str | Fraction]) -> tuple[Fraction, ...]:
-    """Unique solution of m x = rhs for square nonsingular m."""
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; a is overwritten. Empty: 1."""
+    n = len(a)
+    if n == 0:
+        return 1
+    return bareiss(a, n) * a[n - 1][n - 1]
+
+
+def det_exact(m: ExactMatrix) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination. Empty matrix: 1."""
+    if not m.is_square():
+        raise NotSquare(f"determinant of {m.rows}x{m.cols} matrix")
+    a, scale = _clear_denominators(m)
+    return Fraction(int_det(a)) / scale
+
+
+def solve_exact(
+    m: ExactMatrix, rhs: Sequence[int | str | Fraction] | ExactMatrix
+) -> tuple[Fraction, ...] | ExactMatrix:
+    """Unique solution of m x = rhs for square nonsingular m.
+
+    rhs is one vector, answered by a tuple, or an ExactMatrix with m.rows
+    rows whose columns are several right-hand sides, answered by the
+    ExactMatrix of solution columns; m is eliminated once for all of them.
+    """
     if not m.is_square():
         raise NotSquare(f"solve with {m.rows}x{m.cols} matrix")
     n = m.rows
-    b = [rational(x) for x in rhs]
+    several = isinstance(rhs, ExactMatrix)
+    if several:
+        b = rhs.entries
+        k = rhs.cols
+    else:
+        b = [(rational(x),) for x in rhs]
+        k = 1
     if len(b) != n:
         raise ValueError("rhs length mismatch")
     if n == 0:
-        return ()
-    aug = ExactMatrix([list(m.row(r)) + [b[r]] for r in range(n)], cols=n + 1)
+        return ExactMatrix([], cols=k) if several else ()
+    aug = ExactMatrix([m.row(r) + tuple(b[r]) for r in range(n)], cols=n + k)
     a, _ = _clear_denominators(aug)
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    break
-            else:
-                raise SingularMatrix("zero pivot column")
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            row_k = a[k]
-            for j in range(k + 1, n + 1):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+    if bareiss(a, n) == 0:
+        raise SingularMatrix("zero pivot column")
+    if a[n - 1][n - 1] == 0:
+        raise SingularMatrix("zero pivot in back substitution")
+    cols = [_back_substitute(a, n, n + c) for c in range(k)]
+    if several:
+        return ExactMatrix([[col[r] for col in cols] for r in range(n)], cols=k)
+    return cols[0]
+
+
+def _back_substitute(a: list[list[int]], n: int, c: int) -> tuple[Fraction, ...]:
+    """Solve the eliminated upper-triangular system for augmented column c."""
     x: list[Fraction] = [_ZERO] * n
     for i in range(n - 1, -1, -1):
-        if a[i][i] == 0:
-            raise SingularMatrix("zero pivot in back substitution")
-        acc = Fraction(a[i][n])
+        acc = Fraction(a[i][c])
         for j in range(i + 1, n):
             acc -= a[i][j] * x[j]
         x[i] = acc / a[i][i]

@@ -13,16 +13,23 @@ family is degenerate when a system determinant vanishes. The dual table P
 satisfies the product identity Q(w) P(w)^T = w^{nL} I (with the entry
 weights w^{1-delta_ij} folded into both matrices) and is constructed from
 the adjugate of Q.
+
+Determinants and adjugates of polynomial matrices are exact and take
+polynomial time: each row is scaled to integer coefficients, the matrix is
+evaluated at the integers 0..D (D a degree bound), every value comes from
+the integer Bareiss kernel in `linalg`, and each entry is interpolated
+back. Cofactor expansion survives only as a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm, prod
 from typing import Sequence
 
 from .errors import ConsistencyError, DegenerateFamily, InsufficientOrder, SingularMatrix
-from .linalg import ToeplitzBlockSpec, hstack, solve_exact, toeplitz_block
+from .linalg import ExactMatrix, ToeplitzBlockSpec, hstack, int_det, solve_exact, toeplitz_block
 from .series import Polynomial, SeriesFamily, TruncatedSeries
 
 __all__ = [
@@ -31,8 +38,11 @@ __all__ = [
     "hermite_pade",
     "q_matrix",
     "simultaneous_pade",
+    "MahlerDuality",
+    "mahler_duality",
     "mahler_duality_check",
     "schlesinger_matrix",
+    "schlesinger_matrix_and_det",
     "simultaneous_condition_table",
 ]
 
@@ -114,47 +124,78 @@ class PolyMatrix:
             )
         return NotImplemented
 
-    def minor(self, i: int, j: int) -> PolyMatrix:
+    def det(self) -> Polynomial:
+        """Exact determinant by evaluation, integer Bareiss and interpolation.
+
+        With B = diag(s) A integral (see _integer_points), det B has degree
+        at most D and is recovered from its values at x = 0..D; then
+        det A = det B / prod(s). Polynomial-time, no Fraction arithmetic
+        inside the elimination.
+        """
+        n = self._size
+        if n == 0:
+            return Polynomial.one()
+        points, scales = self._integer_points()
+        total = prod(scales)
+        values = [int_det(m) for m in points]
+        return Polynomial([Fraction(c, total) for c in _interpolate(values)])
+
+    def adjugate(self) -> PolyMatrix:
+        """adj with self * adj = det * I (classical adjugate).
+
+        Every signed cofactor of B = diag(s) A is found at x = 0..D by
+        integer Bareiss and interpolated, the same bound D covering each
+        entry; then adj(A)_{ij} = adj(B)_{ij} s_j / prod(s).
+        """
+        n = self._size
+        if n == 0:
+            return self
+        points, scales = self._integer_points()
+        total = prod(scales)
+        values = [[[] for _ in range(n)] for _ in range(n)]
+        for m in points:
+            for i in range(n):
+                for j in range(n):
+                    minor = [
+                        [v for c, v in enumerate(row) if c != i]
+                        for r, row in enumerate(m)
+                        if r != j
+                    ]
+                    cof = int_det(minor)
+                    values[i][j].append(cof if (i + j) % 2 == 0 else -cof)
         return PolyMatrix(
             [
-                [e for c, e in enumerate(row) if c != j]
-                for r, row in enumerate(self._entries)
-                if r != i
+                [
+                    Polynomial(
+                        [Fraction(c * scales[j], total) for c in _interpolate(values[i][j])]
+                    )
+                    for j in range(n)
+                ]
+                for i in range(n)
             ],
             var=self._var,
         )
 
-    def det(self) -> Polynomial:
-        """Cofactor expansion along the first column; fine at this scale."""
-        n = self._size
-        if n == 0:
-            return Polynomial.one()
-        if n == 1:
-            return self._entries[0][0]
-        acc = Polynomial.zero()
-        for i in range(n):
-            head = self._entries[i][0]
-            if head.is_zero():
-                continue
-            term = head * self.minor(i, 0).det()
-            acc = acc + term if i % 2 == 0 else acc - term
-        return acc
+    def _integer_points(self) -> tuple[list[list[list[int]]], list[int]]:
+        """B = diag(s) A evaluated at x = 0..D, and the row scales s.
 
-    def adjugate(self) -> PolyMatrix:
-        """adj with self * adj = det * I (classical adjugate)."""
-        n = self._size
-        if n == 0:
-            return self
-        if n == 1:
-            return PolyMatrix([[Polynomial.one()]], var=self._var)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                m = self.minor(j, i).det()
-                row.append(m if (i + j) % 2 == 0 else -m)
-            out.append(row)
-        return PolyMatrix(out, var=self._var)
+        s_r is the lcm of the coefficient denominators in row r, so B has
+        integer coefficients. D is the sum over rows of the largest entry
+        degree, a zero row counting 0: it bounds deg det B and the degree
+        of every cofactor of B, a zero row included.
+        """
+        scales: list[int] = []
+        rows: list[list[tuple[int, ...]]] = []
+        bound = 0
+        for row in self._entries:
+            s = lcm(*(c.denominator for e in row for c in e.coeffs))
+            scales.append(s)
+            rows.append([tuple(int(c * s) for c in e.coeffs) for e in row])
+            bound += max(0, max(len(e.coeffs) for e in row) - 1)
+        points = [
+            [[_horner(e, x) for e in row] for row in rows] for x in range(bound + 1)
+        ]
+        return points, scales
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -165,12 +206,51 @@ class PolyMatrix:
         return f"PolyMatrix({self._size}x{self._size}, var={self._var!r})"
 
 
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _interpolate(values: Sequence[int]) -> list[int]:
+    """Coefficients of the integer polynomial p of degree < len(values)
+    with p(x) = values[x] at x = 0, 1, ....
+
+    Newton's forward differences put p in the falling-factorial basis,
+    p(x) = sum_k Delta^k p(0) (x)_k / k!; the nested form is evaluated with
+    every term scaled by d! so that the single division happens at the end.
+    """
+    d = len(values) - 1
+    diffs: list[int] = []
+    row = list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    acc = [diffs[d]]
+    weight = 1  # d! / k!
+    for k in range(d - 1, -1, -1):
+        weight *= k + 1
+        nxt = [0] + acc
+        for m, c in enumerate(acc):
+            nxt[m] -= k * c
+        nxt[0] += diffs[k] * weight
+        acc = nxt
+    scale = factorial(d)
+    out = []
+    for c in acc:
+        q, r = divmod(c, scale)
+        if r:
+            raise ConsistencyError("interpolated polynomial is not integral")
+        out.append(q)
+    return out
+
+
 @dataclass(frozen=True)
 class HermitePadeResult:
     """One full type-I table: row i approximates with weight on f_i.
 
-    q_table[i][j] is Q^(i)_j; c_vectors[i] is the raw solution vector of
-    row i's linear system; remainders[i] is rho^i carried to its tightest
+    q_table[i][j] is Q^(i)_j; remainders[i] is rho^i carried to its tightest
     provable order; vanishing lists the i >= 1 whose remainder is
     identically zero on the trusted window (reported, not an error).
     """
@@ -178,7 +258,6 @@ class HermitePadeResult:
     family: SeriesFamily
     n: int
     q_table: tuple[tuple[Polynomial, ...], ...]
-    c_vectors: tuple[tuple[Fraction, ...], ...]
     remainders: tuple[TruncatedSeries, ...]
     vanishing: tuple[int, ...]
 
@@ -235,20 +314,23 @@ def hermite_pade(fam: SeriesFamily, n: int) -> HermitePadeResult:
         [toeplitz_block(fam, ToeplitzBlockSpec(j, 0, ln, n)) for j in range(L)]
     )
     rows: list[tuple[Polynomial, ...]] = [()] * L
-    vectors: list[tuple[Fraction, ...]] = [()] * L
 
+    # Rows 1..L-1 share the matrix B: one elimination, one column each.
+    rhs = ExactMatrix(
+        [[-fam.coefficient(i, k) for i in range(1, L)] for k in range(1, ln + 1)],
+        cols=L - 1,
+    )
+    try:
+        sols = solve_exact(bmat, rhs).transpose().entries
+    except SingularMatrix:
+        raise DegenerateFamily("type-I system determinant") from None
     for i in range(1, L):
-        rhs = [-fam.coefficient(i, k) for k in range(1, ln + 1)]
-        try:
-            sol = solve_exact(bmat, rhs)
-        except SingularMatrix:
-            raise DegenerateFamily("type-I system determinant") from None
+        sol = sols[i - 1]
         qrow = []
         for j in range(L):
             chunk = list(sol[j * n : (j + 1) * n])
             qrow.append(Polynomial([1] + chunk) if j == i else Polynomial(chunk))
         rows[i] = tuple(qrow)
-        vectors[i] = tuple(sol)
 
     bzero = hstack(
         [toeplitz_block(fam, ToeplitzBlockSpec(0, 0, ln + 1, n + 1))]
@@ -263,7 +345,6 @@ def hermite_pade(fam: SeriesFamily, n: int) -> HermitePadeResult:
     for j in range(1, L):
         qrow0.append(Polynomial(sol0[n + 1 + (j - 1) * n : n + 1 + j * n]))
     rows[0] = tuple(qrow0)
-    vectors[0] = tuple(sol0)
 
     remainders = tuple(_row_remainder(fam, rows[i], i) for i in range(L))
     vanishing = tuple(i for i in range(1, L) if remainders[i].is_zero())
@@ -271,7 +352,6 @@ def hermite_pade(fam: SeriesFamily, n: int) -> HermitePadeResult:
         family=fam,
         n=n,
         q_table=tuple(rows),
-        c_vectors=tuple(vectors),
         remainders=remainders,
         vanishing=vanishing,
     )
@@ -308,17 +388,33 @@ def simultaneous_pade(result: HermitePadeResult) -> PolyMatrix:
     return qm.adjugate().transpose() * (1 / c)
 
 
+@dataclass(frozen=True)
+class MahlerDuality:
+    """The product Q P^T, its target w^{nL} I, and whether they agree."""
+
+    product: PolyMatrix
+    target: PolyMatrix
+    holds: bool
+
+
+def mahler_duality(qm: PolyMatrix, pm: PolyMatrix, n: int) -> MahlerDuality:
+    """Build Q P^T once and compare it exactly with w^{nL} I."""
+    product = qm * pm.transpose()
+    target = PolyMatrix.monomial_identity(qm.size, n * qm.size, var=qm.var)
+    return MahlerDuality(product, target, product == target)
+
+
 def mahler_duality_check(qm: PolyMatrix, pm: PolyMatrix, n: int) -> bool:
     """Exact product identity Q P^T = w^{nL} I."""
-    ln = n * qm.size
-    return qm * pm.transpose() == PolyMatrix.monomial_identity(qm.size, ln, var=qm.var)
+    return mahler_duality(qm, pm, n).holds
 
 
-def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:
-    """R(x) = x^n Q(1/x), a polynomial matrix in x with det R = 1.
+def schlesinger_matrix_and_det(result: HermitePadeResult) -> tuple[PolyMatrix, Polynomial]:
+    """R(x) = x^n Q(1/x) and det R(x), the determinant computed once.
 
-    Entry (i, j) is x^{n-1+delta_ij} Q^(i)_j(1/x): the coefficient list of
-    Q^(i)_j padded to its degree bound and reversed.
+    Entry (i, j) of R is x^{n-1+delta_ij} Q^(i)_j(1/x): the coefficient
+    list of Q^(i)_j padded to its degree bound and reversed. Raises
+    ConsistencyError unless det R = 1.
     """
     L = result.size
     n = result.n
@@ -332,9 +428,15 @@ def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:
             row.append(Polynomial(list(reversed(cs))))
         out.append(row)
     rm = PolyMatrix(out, var="x")
-    if rm.det() != Polynomial.one():
+    det_r = rm.det()
+    if det_r != Polynomial.one():
         raise ConsistencyError("det R(x) != 1; normalization broken upstream")
-    return rm
+    return rm, det_r
+
+
+def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:
+    """R(x) = x^n Q(1/x), a polynomial matrix in x with det R = 1."""
+    return schlesinger_matrix_and_det(result)[0]
 
 
 def _weighted_components(pm: PolyMatrix) -> list[list[Polynomial | None]]:

@@ -33,14 +33,18 @@ _ONE = Fraction(1)
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a "p/q" string, or a Fraction to an exact rational.
 
-    Floats are rejected: this library never rounds.
+    Floats are rejected: this library never rounds. A string with a zero
+    denominator raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

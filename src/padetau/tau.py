@@ -29,7 +29,7 @@ from .errors import (
     InsufficientOrder,
 )
 from .linalg import ExactMatrix, ToeplitzBlockSpec, det_exact, hstack, toeplitz_block, vstack
-from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix
+from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix_and_det
 from .series import Polynomial, SeriesFamily, TruncatedSeries, normalize_family
 
 __all__ = [
@@ -325,8 +325,8 @@ def schlesinger_shift_check(phi: MatrixSeries, n: int) -> ShiftCheckReport:
     """
     fam = normalize_family(phi.first_column())
     hp = hermite_pade(fam, n)
-    rm = schlesinger_matrix(hp)
-    det_r_one = rm.det() == Polynomial.one()
+    _, det_r = schlesinger_matrix_and_det(hp)
+    det_r_one = det_r == Polynomial.one()
     qm = q_matrix(hp)
     L = phi.size
     ln = L * n

@@ -2,9 +2,10 @@
 
 Every dual-route assertion checks library output against a second
 computation that shares no code with the library: Laplace-expansion
-determinants, Cramer solves, schoolbook convolution and long division
-for series, first-letter Pfaffian expansion, and a from-scratch residual
-for the expansion at irregular infinity.  Oracles work on plain lists of
+determinants, Cramer solves, cofactor-expansion polynomial determinants
+and adjugates, schoolbook convolution and long division for series,
+first-letter Pfaffian expansion, and a from-scratch residual for the
+expansion at irregular infinity.  Oracles work on plain lists of
 `fractions.Fraction` so a library bug cannot hide in both routes.
 """
 
@@ -76,6 +77,70 @@ def cramer_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
             [rhs[r] if cc == c else rows[r][cc] for cc in range(m)] for r in range(m)
         ]
         out.append(laplace_det(replaced) / d)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial-matrix oracles: recursive cofactor expansion on coefficient
+# lists (ascending, trailing zeros stripped).  O(m!) products — keep m small.
+
+
+def _poly_strip(a: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_add(a: list[Fraction], b: list[Fraction], sign: int = 1) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return _poly_strip(
+        [
+            (a[k] if k < len(a) else 0) + sign * (b[k] if k < len(b) else 0)
+            for k in range(n)
+        ]
+    )
+
+
+def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    if not a or not b:
+        return []
+    return _poly_strip(conv_window(a, b, len(a) + len(b) - 1))
+
+
+def cofactor_det(rows: list[list[list[Fraction]]]) -> list[Fraction]:
+    """Determinant of a square matrix of polynomials, by expansion along
+    the first column."""
+    m = len(rows)
+    if m == 0:
+        return [Fraction(1)]
+    if m == 1:
+        return _poly_strip(rows[0][0])
+    acc: list[Fraction] = []
+    for i in range(m):
+        if not _poly_strip(rows[i][0]):
+            continue
+        minor = [row[1:] for r, row in enumerate(rows) if r != i]
+        acc = _poly_add(acc, _poly_mul(rows[i][0], cofactor_det(minor)), 1 if i % 2 == 0 else -1)
+    return acc
+
+
+def cofactor_adjugate(rows: list[list[list[Fraction]]]) -> list[list[list[Fraction]]]:
+    """Classical adjugate: entry (i, j) is (-1)^(i+j) times the minor that
+    deletes row j and column i."""
+    m = len(rows)
+    out = []
+    for i in range(m):
+        out_row = []
+        for j in range(m):
+            minor = [
+                [e for c, e in enumerate(row) if c != i]
+                for r, row in enumerate(rows)
+                if r != j
+            ]
+            d = cofactor_det(minor)
+            out_row.append(d if (i + j) % 2 == 0 else [-c for c in d])
+        out.append(out_row)
     return out
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from padetau.cli import main
 from padetau.linalg import ExactMatrix
 from padetau.ode import RationalODE, ode_to_dict
@@ -200,6 +202,15 @@ class TestSelfcheck:
         report = run_report(capsys, self.ARGS)
         assert report["seed"] == 11
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_documented_defaults_exit_0(self, capsys, seed):
+        """`padetau selfcheck` at its defaults (all suites, 25 trials)."""
+        report = run_report(capsys, ["selfcheck", "--seed", str(seed)])
+        results = report["results"]
+        assert results["trials"] == 25
+        assert results["checks_failed"] == 0
+        assert results["degenerate_draws"] >= 0
+
     def test_bad_suite_name_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, ["selfcheck", "--suite", "bogus"])
         assert code == 1
@@ -255,6 +266,20 @@ class TestUsageAndIOErrors:
         code, out, err = run(capsys, ["approx", str(tmp_path / "absent.json"), "-n", "1"])
         assert code == 1
         assert err.startswith("error:")
+
+    def test_zero_denominator_exits_1(self, capsys, tmp_path):
+        data = arithmetic_file()
+        data["series"][1][2] = "1/0"
+        path = write_json(tmp_path, "fam.json", data)
+        for argv in (
+            ["approx", path, "-n", "1"],
+            ["ode", "--pii", "1/0", "0", "1", "1", "2", "--order", "6"],
+        ):
+            code, out, err = run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and "zero denominator" in err
+            assert err.count("\n") == 1
 
     def test_series_file_schema_violation_exits_1(self, capsys, tmp_path):
         path = write_json(tmp_path, "fam.json", {"v": 2, "L": 2, "order": 4, "series": []})

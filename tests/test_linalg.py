@@ -21,6 +21,7 @@ from padetau import (
     toeplitz_block,
     vstack,
 )
+from padetau.linalg import int_det
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -129,3 +130,45 @@ def test_solve_matches_cramer_oracle(rows, seed):
 def test_solve_rejects_singular():
     with pytest.raises(SingularMatrix):
         solve_exact(ExactMatrix([[1, 1], [2, 2]]), [1, 1])
+
+
+@settings(max_examples=40)
+@given(square_matrices(4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_solve_several_right_hand_sides(rows, k, seed):
+    """One elimination, k columns: each equals the one-vector solve."""
+    rng = random.Random(seed)
+    m = ExactMatrix(rows)
+    rhs = ExactMatrix([[rand_frac(rng) for _ in range(k)] for _ in range(m.rows)])
+    if det_exact(m) == 0:
+        with pytest.raises(SingularMatrix):
+            solve_exact(m, rhs)
+        return
+    sol = solve_exact(m, rhs)
+    assert (sol.rows, sol.cols) == (m.rows, k)
+    for c in range(k):
+        column = [rhs.at(r, c) for r in range(m.rows)]
+        assert [sol.at(r, c) for r in range(m.rows)] == list(solve_exact(m, column))
+    assert m * sol == rhs
+
+
+def test_solve_several_edge_cases():
+    assert solve_exact(ExactMatrix([], cols=0), ExactMatrix([], cols=2)) == ExactMatrix([], cols=2)
+    with pytest.raises(ValueError):
+        solve_exact(ExactMatrix([[1]]), ExactMatrix([[1], [2]]))
+
+
+def test_matrix_iterates_row_major():
+    m = ExactMatrix([[1, 2], [3, Fraction(1, 2)]])
+    assert list(m) == [1, 2, 3, Fraction(1, 2)]
+    assert len(m) == 4
+    assert len(ExactMatrix([], cols=3)) == 0
+
+
+@settings(max_examples=60)
+@given(square_matrices(5))
+def test_int_det_matches_laplace_oracle(rows):
+    ints = [[int(x * 12) for x in row] for row in rows]
+    assert int_det([list(r) for r in ints]) == laplace_det(
+        [[Fraction(x) for x in row] for row in ints]
+    )
+    assert int_det([]) == 1

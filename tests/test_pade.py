@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import conv_window, family_from_rows, laplace_det, rand_family
+from helpers import (
+    cofactor_adjugate,
+    cofactor_det,
+    conv_window,
+    family_from_rows,
+    laplace_det,
+    rand_family,
+    rand_frac,
+)
 from padetau import (
     DegenerateFamily,
     InsufficientOrder,
@@ -142,7 +150,7 @@ def test_table_structure(size, n, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 3), st.integers(1, 2), st.integers(0, 2**32 - 1))
+@given(st.integers(2, 6), st.integers(1, 2), st.integers(0, 2**32 - 1))
 def test_duality_and_gauge_on_randoms(size, n, seed):
     rng = random.Random(seed)
     fam = rand_family(rng, size, size * n + 2)
@@ -194,3 +202,56 @@ def test_poly_det_matches_scalar_oracle_at_points(size, seed, x0):
     for i in range(size):
         for j in range(size):
             assert prod.entry(i, j) == (det if i == j else Polynomial.zero())
+
+
+def _poly_lists(pm: PolyMatrix) -> list[list[list[Fraction]]]:
+    return [[list(e.coeffs) for e in row] for row in pm.entries]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.sampled_from(("none", "row", "column")),
+    st.integers(0, 2**32 - 1),
+)
+def test_poly_det_and_adjugate_match_cofactor_oracle(size, max_degree, zero, seed):
+    """Entry by entry against cofactor expansion: rational coefficients,
+    mixed degrees up to max_degree (0: constants only), zero entries, and
+    optionally a whole zero row or zero column."""
+    rng = random.Random(seed)
+    rows = [
+        [
+            [rand_frac(rng, 5, 3) for _ in range(rng.randint(0, max_degree + 1))]
+            for _ in range(size)
+        ]
+        for _ in range(size)
+    ]
+    if zero == "row":
+        rows[rng.randrange(size)] = [[] for _ in range(size)]
+    elif zero == "column":
+        c = rng.randrange(size)
+        for row in rows:
+            row[c] = []
+    pm = PolyMatrix([[Polynomial(e) for e in row] for row in rows], var="x")
+    assert list(pm.det().coeffs) == cofactor_det(_poly_lists(pm))
+    adj = pm.adjugate()
+    assert adj.var == "x"
+    assert _poly_lists(adj) == cofactor_adjugate(_poly_lists(pm))
+
+
+def test_poly_adjugate_degree_bound_with_zero_row():
+    """A zero row must count degree 0 in the bound: adj keeps w^3."""
+    pm = PolyMatrix([[P(0, 0, 0, 1), P(1)], [P(), P()]])
+    assert pm.det() == Polynomial.zero()
+    assert pm.adjugate().entries == ((P(), P(-1)), (P(), P(0, 0, 0, 1)))
+
+
+def test_poly_det_and_adjugate_small_cases():
+    empty = PolyMatrix([])
+    assert empty.det() == Polynomial.one()
+    assert empty.adjugate() == empty
+    single = PolyMatrix([[P(Fraction(1, 2), 0, 3)]])
+    assert single.det() == P(Fraction(1, 2), 0, 3)
+    assert single.adjugate() == PolyMatrix([[P(1)]])
+    assert PolyMatrix([[P()]]).adjugate() == PolyMatrix([[P(1)]])

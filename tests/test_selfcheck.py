@@ -51,3 +51,14 @@ def test_rejects_unknown_suite_and_bad_trials():
         run_suite("everything", 5, 0)
     with pytest.raises(ValueError):
         run_suite("all", 0, 0)
+
+
+def test_degenerate_draws_are_counted_data():
+    """Only the suites that draw random families report degenerate draws;
+    the pfaffian report keeps its shape."""
+    pf, _ = run_suite("pfaffian", 3, 0)
+    assert "degenerate_draws" not in pf
+    for suite in ("identities", "all"):
+        results, _ = run_suite(suite, 25, 1)
+        assert results["degenerate_draws"] == 2
+        assert results["checks_failed"] == 0

@@ -31,6 +31,8 @@ def test_rational_coercions():
     assert rational(3) == Fraction(3)
     assert rational("3/4") == Fraction(3, 4)
     assert rational(Fraction(-2, 6)) == Fraction(-1, 3)
+    with pytest.raises(ValueError, match="zero denominator"):
+        rational("1/0")
     with pytest.raises(TypeError):
         rational(0.5)
 
