@@ -54,7 +54,6 @@ from .pade import (
     mahler_duality_check,
     q_matrix,
     schlesinger_matrix,
-    schlesinger_matrix_and_det,
     simultaneous_condition_table,
     simultaneous_pade,
 )

@@ -2,7 +2,9 @@
 
 Every command prints one deterministic JSON report to stdout. Exit codes:
 0 success (flagged degeneracies included), 1 parse/usage error,
-2 degenerate precondition, 3 insufficient order.
+2 degenerate precondition, 3 insufficient order, 4 internal error (a
+ConsistencyError: two routes that must agree did not, which is a bug in
+padetau rather than a problem with the input).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .pade import (
     hermite_pade,
     mahler_duality,
     q_matrix,
-    schlesinger_matrix_and_det,
+    schlesinger_matrix,
     simultaneous_pade,
 )
 from .reports import (
@@ -54,7 +56,7 @@ from .reports import (
 )
 from .selfcheck import SUITES, run_suite
 from .series import Polynomial, normalize_family
-from .tau import sylvester_toeplitz_check, tau_quotient_table
+from .tau import tau_quotient_table
 
 __all__ = ["main"]
 
@@ -169,7 +171,7 @@ def _cmd_approx(args) -> dict:
             json.dumps(["1"] * (size - 1)),
         )
     )
-    _, det_r = schlesinger_matrix_and_det(hp)
+    det_r = schlesinger_matrix(hp).det()
     checks.append(
         make_check("det_shift_matrix", det_r == Polynomial.one(), poly_to_str(det_r, "x"), "1")
     )
@@ -190,10 +192,10 @@ def _cmd_tau(args) -> dict:
         "ratios": [[n, str(r)] for n, r in table.ratios],
         "degenerate": list(table.degenerate),
     }
-    checks = []
-    for n in range(1, args.n_max):
-        rep = sylvester_toeplitz_check(fam, n)
-        checks.append(make_check(f"exchange_identity_n{n}", rep.holds, rep.lhs, rep.rhs))
+    checks = [
+        make_check(f"exchange_identity_n{n}", rep.holds, rep.lhs, rep.rhs)
+        for n, rep in enumerate(table.exchange, start=1)
+    ]
     return make_report(
         "tau", {"input": args.input, "n_max": args.n_max}, results, checks
     )
@@ -247,12 +249,11 @@ def _cmd_selfcheck(args, seed: int) -> dict:
 
 
 def _cmd_accessory(args) -> dict:
-    try:
-        spectral = tuple(
-            tuple(int(x) for x in part.split(",")) for part in args.spectral.split(";")
-        )
-    except ValueError:
-        raise InvalidPartition(f"cannot parse spectral type {args.spectral!r}") from None
+    parts = [part.split(",") for part in args.spectral.split(";")]
+    # ASCII digits only: int() alone would also take " 1", "+1" and "1_0"
+    if not all(x.isascii() and x.isdigit() for p in parts for x in p):
+        raise InvalidPartition(f"cannot parse spectral type {args.spectral[:40]!r}")
+    spectral = tuple(tuple(int(x) for x in p) for p in parts)
     count = accessory_count(spectral, args.L, args.N)
     results = {
         "L": args.L,
@@ -292,6 +293,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InsufficientOrder as exc:
         print(f"insufficient order: {exc}", file=sys.stderr)
         return 3
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except (
         ValueError,
         TypeError,
@@ -304,7 +308,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         OddLength,
         ParityViolation,
         ShapeMismatch,
-        ConsistencyError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

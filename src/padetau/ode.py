@@ -333,10 +333,10 @@ def ode_from_dict(data: dict) -> RationalODE:
     """Parse the JSON shape {v, L, poles: [{position, matrices}], infinity}."""
     if not isinstance(data, dict):
         raise ValueError("ODE spec must be an object")
-    if data.get("v") != 1:
+    if type(data.get("v")) is not int or data["v"] != 1:
         raise ValueError("unsupported ODE spec version")
     size = data.get("L")
-    if not isinstance(size, int):
+    if type(size) is not int:
         raise ValueError("L must be an integer")
     poles = []
     for entry in data.get("poles", []):

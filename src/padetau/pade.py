@@ -42,7 +42,6 @@ __all__ = [
     "mahler_duality",
     "mahler_duality_check",
     "schlesinger_matrix",
-    "schlesinger_matrix_and_det",
     "simultaneous_condition_table",
 ]
 
@@ -409,12 +408,13 @@ def mahler_duality_check(qm: PolyMatrix, pm: PolyMatrix, n: int) -> bool:
     return mahler_duality(qm, pm, n).holds
 
 
-def schlesinger_matrix_and_det(result: HermitePadeResult) -> tuple[PolyMatrix, Polynomial]:
-    """R(x) = x^n Q(1/x) and det R(x), the determinant computed once.
+def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:
+    """R(x) = x^n Q(1/x), a polynomial matrix in x.
 
     Entry (i, j) of R is x^{n-1+delta_ij} Q^(i)_j(1/x): the coefficient
-    list of Q^(i)_j padded to its degree bound and reversed. Raises
-    ConsistencyError unless det R = 1.
+    list of Q^(i)_j padded to its degree bound and reversed. A normalized
+    type-I table gives det R = 1; that is the caller's check to make
+    (one R.det() call), not something this constructor asserts.
     """
     L = result.size
     n = result.n
@@ -427,16 +427,7 @@ def schlesinger_matrix_and_det(result: HermitePadeResult) -> tuple[PolyMatrix, P
             cs.extend([Fraction(0)] * (bound + 1 - len(cs)))
             row.append(Polynomial(list(reversed(cs))))
         out.append(row)
-    rm = PolyMatrix(out, var="x")
-    det_r = rm.det()
-    if det_r != Polynomial.one():
-        raise ConsistencyError("det R(x) != 1; normalization broken upstream")
-    return rm, det_r
-
-
-def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:
-    """R(x) = x^n Q(1/x), a polynomial matrix in x with det R = 1."""
-    return schlesinger_matrix_and_det(result)[0]
+    return PolyMatrix(out, var="x")
 
 
 def _weighted_components(pm: PolyMatrix) -> list[list[Polynomial | None]]:

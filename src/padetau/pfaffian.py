@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .errors import InsufficientOrder, OddLength, ParityViolation, ShapeMismatch
 from .linalg import ExactMatrix, det_exact
 from .series import SeriesFamily, rational
-from .tau import IdentityReport, bordered_determinant, sylvester_toeplitz_check, tau_determinant
+from .tau import IdentityReport, _bordered_grid, _exchange_report, tau_determinant
 
 __all__ = [
     "Word",
@@ -285,7 +285,8 @@ class KeyIdentityReport:
 
     corner/extended/bordered pin the Toeplitz content of the minor table;
     sylvester is the identity on that table; exchange is the same identity
-    computed directly from D_n and E^{k,l}_n.
+    computed directly from the D_n, D_{n+1} and E^{k,l}_n values that
+    corner/extended/bordered compared against.
     """
 
     size: int
@@ -341,13 +342,16 @@ def key_identity_via_pfaffian(fam: SeriesFamily, n: int) -> KeyIdentityReport:
     kw = tuple(range(1, (L - 1) * n + 1))
     mw = tuple(j for j in range(1, (L - 1) * (n + 1) + 1) if j not in jw)
 
-    corner = IdentityReport("corner_minor", det_g(g, kw, mw), tau_determinant(fam, n))
+    d_n = tau_determinant(fam, n)
+    corner = IdentityReport("corner_minor", det_g(g, kw, mw), d_n)
+    d_next = tau_determinant(fam, n + 1)
     ext_sign = -1 if (L * (L - 1) * n // 2) % 2 else 1
     extended = IdentityReport(
         "extended_minor",
         det_g(g, iw + kw, jw + mw),
-        ext_sign * tau_determinant(fam, n + 1),
+        ext_sign * d_next,
     )
+    e_grid = _bordered_grid(fam, n)  # e_grid[l-1][k-1] = E^{l,k}_n
     bordered = []
     for k in range(1, L):
         for l in range(1, L):
@@ -356,11 +360,11 @@ def key_identity_via_pfaffian(fam: SeriesFamily, n: int) -> KeyIdentityReport:
                 IdentityReport(
                     f"bordered_minor_{k}_{l}",
                     det_g(g, (iw[k - 1],) + kw, (jw[l - 1],) + mw),
-                    sign * bordered_determinant(fam, n, l, k),
+                    sign * e_grid[l - 1][k - 1],
                 )
             )
     sylvester = sylvester_det(g, iw, jw, kw, mw)
-    exchange = sylvester_toeplitz_check(fam, n)
+    exchange = _exchange_report(d_n, d_next, e_grid)
     return KeyIdentityReport(
         size=L,
         n=n,

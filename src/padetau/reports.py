@@ -42,14 +42,14 @@ def series_file_to_family(data: dict) -> SeriesFamily:
     """Parse and validate a v1 series file into a SeriesFamily."""
     if not isinstance(data, dict):
         raise ValueError("series file must be an object")
-    if data.get("v") != 1:
+    if type(data.get("v")) is not int or data["v"] != 1:
         raise ValueError("unsupported series file version")
     size = data.get("L")
     order = data.get("order")
     series = data.get("series")
-    if not isinstance(size, int) or size < 2:
+    if type(size) is not int or size < 2:
         raise ValueError("L must be an integer >= 2")
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ValueError("order must be a positive integer")
     if not isinstance(series, list) or len(series) != size:
         raise ValueError(f"series must list exactly L = {size} coefficient rows")

@@ -10,6 +10,7 @@ Arithmetic propagates the tightest provable trust window.
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,22 +30,32 @@ Rational = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The only string form a rational may take: "p" or "p/q" in ASCII digits.
+_RATIONAL_STRING = re.compile(r"-?\d+(?:/\d+)?", re.ASCII)
+
 
 def rational(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a "p/q" string, or a Fraction to an exact rational.
 
-    Floats are rejected: this library never rounds. A string with a zero
-    denominator raises ValueError.
+    Floats and bools are rejected (TypeError): this library never rounds,
+    and JSON true/false is not a number. A string must match
+    -?<digits>(/<digits>)? exactly, so decimals, exponents, spaces, "+"
+    and "_" are ValueErrors, as is a zero denominator. Python's limit on
+    int string conversion bounds the number of digits.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _RATIONAL_STRING.fullmatch(value) is None:
+            raise ValueError(f"not a rational of the form p or p/q: {value[:40]!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise ValueError(f"zero denominator in {value[:40]!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
 
 

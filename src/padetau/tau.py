@@ -29,7 +29,7 @@ from .errors import (
     InsufficientOrder,
 )
 from .linalg import ExactMatrix, ToeplitzBlockSpec, det_exact, hstack, toeplitz_block, vstack
-from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix_and_det
+from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix
 from .series import Polynomial, SeriesFamily, TruncatedSeries, normalize_family
 
 __all__ = [
@@ -146,17 +146,31 @@ def remainder_coeff_via_det(fam: SeriesFamily, n: int, i: int, j: int) -> Fracti
     return sign * bordered_determinant(fam, n, i, j) / d
 
 
+def _bordered_grid(fam: SeriesFamily, n: int) -> list[list[Fraction]]:
+    """E^{i,j}_n for i, j = 1..L-1, row i-1 and column j-1."""
+    L = fam.size
+    return [
+        [bordered_determinant(fam, n, i, j) for j in range(1, L)]
+        for i in range(1, L)
+    ]
+
+
+def _exchange_report(
+    d_n: Fraction, d_next: Fraction, grid: Sequence[Sequence[Fraction]]
+) -> IdentityReport:
+    """D_{n+1} D_n^{L-2} against det(E^{i,j}_n), from values already computed.
+
+    grid[i-1][j-1] holds E^{i,j}_n; its size L-1 fixes L.
+    """
+    lhs = d_next * d_n ** (len(grid) - 1)
+    return IdentityReport("toeplitz_exchange", lhs, det_exact(ExactMatrix(grid)))
+
+
 def sylvester_toeplitz_check(fam: SeriesFamily, n: int) -> IdentityReport:
     """Exchange identity D_{n+1} D_n^{L-2} = det(E^{i,j}_n) over i,j = 1..L-1."""
-    L = fam.size
-    lhs = tau_determinant(fam, n + 1) * tau_determinant(fam, n) ** (L - 2)
-    grid = ExactMatrix(
-        [
-            [bordered_determinant(fam, n, i, j) for j in range(1, L)]
-            for i in range(1, L)
-        ]
+    return _exchange_report(
+        tau_determinant(fam, n), tau_determinant(fam, n + 1), _bordered_grid(fam, n)
     )
-    return IdentityReport("toeplitz_exchange", lhs, det_exact(grid))
 
 
 @dataclass(frozen=True)
@@ -164,14 +178,17 @@ class TauQuotientTable:
     """D_n values and successive quotients for one family.
 
     ratios[k] = (n, D_{n+1}/D_n), present only where D_n != 0; degenerate
-    lists the n with D_n = 0. The exchange identity is re-verified for
-    every interior n during construction.
+    lists the n with D_n = 0. exchange[n-1] is the exchange identity at
+    each interior n = 1..n_max-1, built from the D_n in dets and the
+    E^{i,j}_n grid at that level; construction raises ConsistencyError if
+    any of them fails.
     """
 
     fingerprint: str
     dets: tuple[tuple[int, Fraction], ...]
     ratios: tuple[tuple[int, Fraction], ...]
     degenerate: tuple[int, ...]
+    exchange: tuple[IdentityReport, ...]
 
 
 def tau_quotient_table(fam: SeriesFamily, n_max: int) -> TauQuotientTable:
@@ -188,17 +205,20 @@ def tau_quotient_table(fam: SeriesFamily, n_max: int) -> TauQuotientTable:
             degenerate.append(n)
         elif n < n_max:
             ratios.append((n, dets[n + 1][1] / d))
+    exchange = []
     for n in range(1, n_max):
-        rep = sylvester_toeplitz_check(fam, n)
+        rep = _exchange_report(dets[n][1], dets[n + 1][1], _bordered_grid(fam, n))
         if not rep.holds:
             raise ConsistencyError(
                 f"exchange identity failed at n={n}: {rep.lhs} != {rep.rhs}"
             )
+        exchange.append(rep)
     return TauQuotientTable(
         fingerprint=fam.fingerprint(),
         dets=tuple(dets),
         ratios=tuple(ratios),
         degenerate=tuple(degenerate),
+        exchange=tuple(exchange),
     )
 
 
@@ -302,7 +322,12 @@ def _poly_row_times_column(
 
 @dataclass(frozen=True)
 class ShiftCheckReport:
-    """Outcome of the exponent-shift verification for one (phi, n)."""
+    """Outcome of the exponent-shift verification for one (phi, n).
+
+    det_r_one records whether det R(x) = 1 for R = schlesinger_matrix of
+    the type-I solution; it is computed, not assumed, so a broken
+    normalization reads False here instead of raising.
+    """
 
     size: int
     n: int
@@ -325,8 +350,7 @@ def schlesinger_shift_check(phi: MatrixSeries, n: int) -> ShiftCheckReport:
     """
     fam = normalize_family(phi.first_column())
     hp = hermite_pade(fam, n)
-    _, det_r = schlesinger_matrix_and_det(hp)
-    det_r_one = det_r == Polynomial.one()
+    det_r_one = schlesinger_matrix(hp).det() == Polynomial.one()
     qm = q_matrix(hp)
     L = phi.size
     ln = L * n

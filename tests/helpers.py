@@ -12,9 +12,10 @@ expansion at irregular infinity.  Oracles work on plain lists of
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from padetau import SeriesFamily, TruncatedSeries
+from padetau import HermitePadeResult, Polynomial, SeriesFamily, TruncatedSeries
 
 # ---------------------------------------------------------------------------
 # random data
@@ -45,6 +46,12 @@ def family_from_rows(rows, order: int | None = None) -> SeriesFamily:
 
 # ---------------------------------------------------------------------------
 # exact linear algebra oracles (Laplace and Cramer; small sizes only)
+
+
+def double_q_row_1(res: HermitePadeResult) -> HermitePadeResult:
+    """The same type-I result with row 1 of Q scaled by 2, so det R = 2."""
+    two = Polynomial([2])
+    return replace(res, q_table=(res.q_table[0], tuple(p * two for p in res.q_table[1])))
 
 
 def laplace_det(rows: list[list[Fraction]]) -> Fraction:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import padetau.cli
+import padetau.tau
 from padetau.cli import main
+from padetau.errors import ConsistencyError
 from padetau.linalg import ExactMatrix
 from padetau.ode import RationalODE, ode_to_dict
 
@@ -131,6 +136,31 @@ class TestTau:
         code, out, err = run(capsys, ["tau", path, "--n-max", "9"])
         assert code == 3
         assert "need order >= 18" in err
+
+    def test_each_determinant_is_computed_once(self, capsys, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(fam, n, *ij):
+                calls[(n, *ij)] += 1
+                return fn(fam, n, *ij)
+
+            return wrapper
+
+        for name in ("tau_determinant", "bordered_determinant"):
+            monkeypatch.setattr(padetau.tau, name, counted(getattr(padetau.tau, name)))
+        rng = random.Random(3)
+        order = 15
+        series = [["1"] + ["0"] * (order - 1)]
+        series += [["0"] + [str(rng.randint(-5, 5)) for _ in range(order - 1)] for _ in range(2)]
+        path = write_json(tmp_path, "fam.json", {"v": 1, "L": 3, "order": order, "series": series})
+        report = run_report(capsys, ["tau", path, "--n-max", "5"])
+        assert len(report["checks"]) == 4
+        assert all(c["pass"] for c in report["checks"])
+        d_keys = {(n,) for n in range(6)}
+        e_keys = {(n, i, j) for n in range(1, 5) for i in (1, 2) for j in (1, 2)}
+        assert set(calls) == d_keys | e_keys
+        assert set(calls.values()) == {1}
 
 
 class TestOde:
@@ -280,6 +310,76 @@ class TestUsageAndIOErrors:
             assert out == ""
             assert err.startswith("error:") and "zero denominator" in err
             assert err.count("\n") == 1
+
+    def test_consistency_error_exits_4(self, capsys, tmp_path, monkeypatch):
+        def broken(fam, n_max):
+            raise ConsistencyError("D_1: full 1 != reduced 2")
+
+        monkeypatch.setattr(padetau.cli, "tau_quotient_table", broken)
+        path = write_json(tmp_path, "fam.json", arithmetic_file())
+        code, out, err = run(capsys, ["tau", path, "--n-max", "2"])
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: D_1: full 1 != reduced 2\n"
+
+    @pytest.mark.parametrize("bad", ["1.5", " 2 ", "1_0", "1e5", "+1", "0x1", True, False])
+    def test_series_coefficient_outside_the_grammar_exits_1(self, capsys, tmp_path, bad):
+        data = arithmetic_file()
+        data["series"][1][2] = bad
+        path = write_json(tmp_path, "fam.json", data)
+        self.assert_input_error(capsys, ["approx", path, "-n", "1"])
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"v": True}, "version"),
+            ({"L": True}, "L must be"),
+            # order 1 with one-coefficient rows would otherwise pass the
+            # schema and only fail later, as an insufficient order
+            ({"order": True, "series": [["1"], ["0"]]}, "order must be"),
+        ],
+    )
+    def test_series_file_boolean_for_an_int_exits_1(self, capsys, tmp_path, change, needle):
+        data = arithmetic_file()
+        data.update(change)
+        path = write_json(tmp_path, "fam.json", data)
+        err = self.assert_input_error(capsys, ["tau", path, "--n-max", "1"])
+        assert needle in err
+
+    @pytest.mark.parametrize(
+        "change, needle",
+        [
+            ({"v": True}, "version"),
+            ({"L": True}, "L must be an integer"),
+            ({"infinity": [[["1.5", "0"], ["0", "3"]]]}, "'1.5'"),
+            ({"infinity": [[[True, "0"], ["0", "3"]]]}, "True"),
+            ({"poles": [{"position": "1e2", "matrices": [[["1", "0"], ["0", "2"]]]}]}, "'1e2'"),
+        ],
+    )
+    def test_ode_spec_outside_the_grammar_exits_1(self, capsys, tmp_path, change, needle):
+        spec = {"v": 1, "L": 2, "poles": [], "infinity": [[["-2", "0"], ["0", "3"]]]}
+        spec.update(change)
+        path = write_json(tmp_path, "spec.json", spec)
+        err = self.assert_input_error(capsys, ["ode", "--spec", path, "--order", "4"])
+        assert needle in err
+
+    @pytest.mark.parametrize("bad", ["0.5", "1_0", "1e3", " 1"])
+    def test_pii_parameter_outside_the_grammar_exits_1(self, capsys, bad):
+        self.assert_input_error(capsys, ["ode", "--pii", bad, "0", "1", "1", "2", "--order", "6"])
+
+    @pytest.mark.parametrize("bad", [" 1,1;1,1;1,1", "1,+1;1,1;1,1", "1,1;1,1;1, 1"])
+    def test_partition_outside_the_grammar_exits_1(self, capsys, bad):
+        self.assert_input_error(capsys, ["accessory", bad, "-L", "2", "-N", "2"])
+
+    @staticmethod
+    def assert_input_error(capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
 
     def test_series_file_schema_violation_exits_1(self, capsys, tmp_path):
         path = write_json(tmp_path, "fam.json", {"v": 2, "L": 2, "order": 4, "series": []})

@@ -13,6 +13,7 @@ from helpers import (
     cofactor_adjugate,
     cofactor_det,
     conv_window,
+    double_q_row_1,
     family_from_rows,
     laplace_det,
     rand_family,
@@ -162,6 +163,16 @@ def test_duality_and_gauge_on_randoms(size, n, seed):
     qm = q_matrix(res)
     assert mahler_duality_check(qm, pm, n)
     assert schlesinger_matrix(res).det() == Polynomial.one()
+
+
+def test_schlesinger_matrix_keeps_a_broken_normalization():
+    order = 8
+    fam = family_from_rows([[1] + [0] * (order - 1), [0] + list(range(1, order))])
+    res = hermite_pade(fam, 1)
+    rm = schlesinger_matrix(double_q_row_1(res))
+    two = Polynomial([2])
+    assert rm.entries[1] == tuple(e * two for e in schlesinger_matrix(res).entries[1])
+    assert rm.det() == two
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_identity, family_from_rows, laplace_det, rand_family
+import padetau.tau
+from helpers import assert_identity, double_q_row_1, family_from_rows, laplace_det, rand_family
 from padetau import (
     BadNormalization,
     ConsistencyError,
@@ -22,6 +23,7 @@ from padetau import (
     bordered_determinant,
     characteristic_det,
     hermite_pade,
+    key_identity_via_pfaffian,
     one_step_sign,
     remainder_coeff_via_det,
     schlesinger_shift_check,
@@ -163,13 +165,25 @@ def test_remainder_coeff_raises_on_degenerate():
 def test_exchange_identity_on_randoms(size, n, seed):
     rng = random.Random(seed)
     fam = rand_family(rng, size, size * n + n + 3)
-    assert_identity(sylvester_toeplitz_check(fam, n))
+    rep = sylvester_toeplitz_check(fam, n)
+    assert_identity(rep)
+    # The table and the minor-table proof build the same report from the
+    # D_n and E^{i,j}_n values they already hold.
+    assert tau_quotient_table(fam, n + 1).exchange[n - 1] == rep
+    assert key_identity_via_pfaffian(fam, n).exchange == rep
 
 
 def test_exchange_identity_degenerate_both_sides_zero():
     fam = geometric_family(9)
     rep = sylvester_toeplitz_check(fam, 1)
     assert rep.lhs == 0 and rep.rhs == 0 and rep.holds
+    table = tau_quotient_table(fam, 4)
+    assert 2 in table.degenerate
+    assert len(table.exchange) == 3
+    for n in (1, 2, 3):
+        rep = sylvester_toeplitz_check(fam, n)
+        assert table.exchange[n - 1] == rep
+        assert key_identity_via_pfaffian(fam, n).exchange == rep
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +197,8 @@ def test_quotient_table_arithmetic():
     assert table.ratios == ((0, Fraction(1)), (1, Fraction(1)))
     assert table.degenerate == ()
     assert table.fingerprint == fam.fingerprint()
+    assert table.exchange == (sylvester_toeplitz_check(fam, 1),)
+    assert tau_quotient_table(fam, 1).exchange == ()
 
 
 def test_quotient_table_geometric_degeneracy_is_data():
@@ -287,6 +303,15 @@ def test_shift_check_on_handmade_series():
     assert rep.det_r_one
     assert rep.available >= 1
     assert rep.failures == ()
+
+
+def test_shift_check_reports_det_r_not_one(monkeypatch):
+    monkeypatch.setattr(
+        padetau.tau, "hermite_pade", lambda fam, n: double_q_row_1(hermite_pade(fam, n))
+    )
+    rep = schlesinger_shift_check(unit_phi(), 1)
+    assert not rep.det_r_one
+    assert not rep.holds
 
 
 def test_shift_check_needs_room_past_the_shift():
