@@ -36,11 +36,14 @@ from .linalg import (
 )
 from .ode import (
     FinitePole,
+    GaugeExpansion,
     InfinityExponentData,
     RationalODE,
     accessory_count,
     expand_at_infinity,
     expansion_residual,
+    gauge_expansion,
+    gauge_residual,
     ode_from_dict,
     ode_to_dict,
     pii_system,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -32,8 +33,8 @@ from .errors import (
 )
 from .ode import (
     accessory_count,
-    expand_at_infinity,
-    expansion_residual,
+    gauge_expansion,
+    gauge_residual,
     ode_from_dict,
     pii_system,
 )
@@ -55,7 +56,7 @@ from .reports import (
     series_to_strings,
 )
 from .selfcheck import SUITES, run_suite
-from .series import Polynomial, normalize_family
+from .series import Polynomial, SeriesFamily
 from .tau import tau_quotient_table
 
 __all__ = ["main"]
@@ -66,6 +67,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative rational such as "-1/2" is a value, not an option;
+        # argparse's own pattern knows only "-1" and "-0.5".
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):  # argparse would sys.exit(2); we map usage to 1
         raise UsageError(message)
 
@@ -208,8 +215,9 @@ def _cmd_ode(args) -> dict:
     else:
         ode = ode_from_dict(_load_json(args.spec))
         source = {"spec": args.spec}
-    phi, tdata = expand_at_infinity(ode, args.order)
-    fam = normalize_family(phi.first_column())
+    gauge = gauge_expansion(ode, args.order)
+    tdata = gauge.exponents
+    fam = SeriesFamily(gauge.psi.first_column())
     series_file = family_to_series_file(fam)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -228,7 +236,7 @@ def _cmd_ode(args) -> dict:
     if vanishing:
         results["degenerate_members"] = vanishing
         results["note"] = "listed members vanish identically on the trusted window"
-    ok, window = expansion_residual(ode, phi, tdata)
+    ok, window = gauge_residual(ode, gauge)
     checks = [
         make_check(f"ode_residual_to_order_{window}", ok, "0" if ok else "nonzero", "0")
     ]

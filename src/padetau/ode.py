@@ -20,6 +20,12 @@ off-diagonal part of Phi_k), so Phi is factored as Phi = Psi D with Psi
 carrying unit diagonal and D diagonal: the (Psi, S) recursion closes
 order by order, S's low coefficients are the exponent data T, and its
 tail integrates to log D.
+
+The family the tau-quotients need, Phi_i0 / Phi_00 = Psi_i0 D_0 / D_0,
+is Psi's column 0 because D cancels, so `gauge_expansion` stops at
+(Psi, S) and `gauge_residual` checks that pair against the equation
+-w^{r+1} Psi_w + Psi S = Atil Psi. `expand_at_infinity` builds Phi from
+the same recursion when the full solution is wanted.
 """
 
 from __future__ import annotations
@@ -44,8 +50,11 @@ __all__ = [
     "FinitePole",
     "RationalODE",
     "InfinityExponentData",
+    "GaugeExpansion",
+    "gauge_expansion",
     "expand_at_infinity",
     "expansion_residual",
+    "gauge_residual",
     "pii_system",
     "SpectralType",
     "accessory_count",
@@ -140,13 +149,27 @@ def _a_tilde(ode: RationalODE, upto: int) -> list[ExactMatrix]:
     return out
 
 
-def expand_at_infinity(
-    ode: RationalODE, order: int
-) -> tuple[MatrixSeries, InfinityExponentData]:
-    """Normalized formal solution Phi(w) = I + O(w) and its exponent data.
+@dataclass(frozen=True)
+class GaugeExpansion:
+    """The gauge factor of Phi = Psi D and the diagonal of S.
 
-    Phi is returned trusted to the requested order; the exponent data is
-    always complete (all of T_{-r}..T_{-1} and T_0).
+    psi has unit diagonal (each Psi_k, k >= 1, has zero diagonal) and is
+    trusted to the requested order; its column 0 is the normalized family
+    Phi_i0 / Phi_00, because the diagonal factor D cancels. s[b] is S_bb,
+    trusted to r + order: coefficients 0..r are the exponent data and the
+    tail is S_{r+c} = -c (log D)_c.
+    """
+
+    psi: MatrixSeries
+    s: tuple[TruncatedSeries, ...]
+    exponents: InfinityExponentData
+
+
+def gauge_expansion(ode: RationalODE, order: int) -> GaugeExpansion:
+    """Solve -w^{r+1} Psi_w + Psi S = Atil Psi order by order.
+
+    Psi is returned to the requested order, S to order r + order; the
+    exponent data is always complete (all of T_{-r}..T_{-1} and T_0).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -163,40 +186,50 @@ def expand_at_infinity(
         raise ResonantExponents("leading diagonal entries must be distinct")
 
     kmax = r + order - 1
-    atil = _a_tilde(ode, kmax)
+    # The nonzero entries (g, c) of each row of every nonzero Atil_jp,
+    # jp >= 1: without poles Atil_jp vanishes for jp >= r.
+    atil_terms = [
+        (jp, [[(g, c) for g, c in enumerate(row) if c] for row in mat.entries])
+        for jp, mat in enumerate(_a_tilde(ode, kmax))
+        if jp >= 1 and any(c for row in mat.entries for c in row)
+    ]
+    zero = Fraction(0)
     psi: list[list[list[Fraction]]] = [
-        [[Fraction(1) if a == b else Fraction(0) for b in range(L)] for a in range(L)]
+        [[Fraction(1) if a == b else zero for b in range(L)] for a in range(L)]
     ]
     stil: list[list[Fraction]] = [list(lam)]
     for k in range(1, kmax + 1):
-        balance = [[Fraction(0)] * L for _ in range(L)]
-        for jp in range(1, k + 1):
-            mat, ps = atil[jp], psi[k - jp]
-            for a in range(L):
-                row = balance[a]
-                for g in range(L):
-                    c = mat.at(a, g)
-                    if c:
-                        pr = ps[g]
-                        for b in range(L):
-                            row[b] += c * pr[b]
+        balance = [[zero] * L for _ in range(L)]
+        for jp, rows in atil_terms:
+            if jp > k:
+                break
+            ps = psi[k - jp]
+            for row, terms in zip(balance, rows):
+                for g, c in terms:
+                    for b, p in enumerate(ps[g]):
+                        if p:
+                            row[b] += c * p
+        # Psi_k has zero diagonal for k >= 1, so only a != b terms of the
+        # Psi S convolution and of the (k - r) Psi_{k-r} term survive.
         for jp in range(1, k):
             ps, sd = psi[k - jp], stil[jp]
             for a in range(L):
-                row = balance[a]
+                row, pa = balance[a], ps[a]
                 for b in range(L):
-                    row[b] -= ps[a][b] * sd[b]
+                    if b != a and pa[b]:
+                        row[b] -= pa[b] * sd[b]
         if k - r >= 1:
             ps = psi[k - r]
             for a in range(L):
-                row = balance[a]
+                row, pa = balance[a], ps[a]
                 for b in range(L):
-                    row[b] += (k - r) * ps[a][b]
+                    if b != a and pa[b]:
+                        row[b] += (k - r) * pa[b]
         stil.append([balance[a][a] for a in range(L)])
         psi.append(
             [
                 [
-                    balance[a][b] / (lam[b] - lam[a]) if a != b else Fraction(0)
+                    balance[a][b] / (lam[b] - lam[a]) if a != b else zero
                     for b in range(L)
                 ]
                 for a in range(L)
@@ -207,34 +240,79 @@ def expand_at_infinity(
         tuple(-stil[r - j][a] for a in range(L)) for j in range(1, r + 1)
     )
     exponents = tuple(-stil[r][a] for a in range(L))
+    psi_series = MatrixSeries(
+        [
+            [TruncatedSeries([psi[k][a][b] for k in range(order)], order) for b in range(L)]
+            for a in range(L)
+        ]
+    )
+    s = tuple(
+        TruncatedSeries([stil[k][b] for k in range(kmax + 1)], kmax + 1)
+        for b in range(L)
+    )
+    return GaugeExpansion(psi_series, s, InfinityExponentData(irregular, exponents))
+
+
+def expand_at_infinity(
+    ode: RationalODE, order: int
+) -> tuple[MatrixSeries, InfinityExponentData]:
+    """Normalized formal solution Phi(w) = I + O(w) and its exponent data.
+
+    Phi is returned trusted to the requested order; the exponent data is
+    always complete (all of T_{-r}..T_{-1} and T_0).
+    """
+    gauge = gauge_expansion(ode, order)
+    L, r = ode.size, ode.rank_at_infinity
 
     # log of the diagonal factor: (log D)_c = -S_{r+c}/c, then exponentiate
     # column by column via E_m = (1/m) sum c * (log D)_c * E_{m-c}.
-    columns: list[list[Fraction]] = []
+    diag: list[TruncatedSeries] = []
     for b in range(L):
-        ld = [Fraction(0)] + [-stil[r + c][b] / c for c in range(1, order)]
+        sb = gauge.s[b].coeffs
+        ld = [Fraction(0)] + [-sb[r + c] / c for c in range(1, order)]
         e = [Fraction(1)] + [Fraction(0)] * (order - 1)
         for m in range(1, order):
             e[m] = sum((c * ld[c] * e[m - c] for c in range(1, m + 1)), start=Fraction(0)) / m
-        columns.append(e)
+        diag.append(TruncatedSeries(e, order))
 
-    entries = [
-        [
-            TruncatedSeries(
-                [
-                    sum(
-                        (psi[p][a][b] * columns[b][m - p] for p in range(m + 1)),
-                        start=Fraction(0),
-                    )
-                    for m in range(order)
-                ],
-                order,
-            )
-            for b in range(L)
-        ]
+    entries = [[gauge.psi.entry(a, b) * diag[b] for b in range(L)] for a in range(L)]
+    return MatrixSeries(entries), gauge.exponents
+
+
+def _residual(
+    ode: RationalODE, p: MatrixSeries, d: Sequence[TruncatedSeries]
+) -> tuple[bool, int]:
+    """w^{r+1} P_w - P diag(d) + Atil P for a unit matrix series P.
+
+    Returns (vanishes identically, trusted order of the residual window).
+    """
+    L, r = ode.size, ode.rank_at_infinity
+    if p.size != L:
+        raise ValueError("expansion size does not match the system")
+    order = p.order
+    if order < 2:
+        raise InsufficientOrder("need an expansion of order >= 2")
+    atil = _a_tilde(ode, order - 1)
+    a_series = [
+        [TruncatedSeries([atil[k].at(a, b) for k in range(order)], order) for b in range(L)]
         for a in range(L)
     ]
-    return MatrixSeries(entries), InfinityExponentData(irregular, exponents)
+    all_zero = True
+    window = None
+    for a in range(L):
+        for b in range(L):
+            e = p.entry(a, b)
+            de = TruncatedSeries(
+                [(m + 1) * e.coefficient(m + 1) for m in range(order - 1)],
+                order - 1,
+            )
+            res = de.shift(r + 1) - e * d[b]
+            for g in range(L):
+                res = res + a_series[a][g] * p.entry(g, b)
+            if not res.is_zero():
+                all_zero = False
+            window = res.order if window is None else min(window, res.order)
+    return all_zero, window
 
 
 def expansion_residual(
@@ -246,44 +324,24 @@ def expansion_residual(
     entry by entry and returns (vanishes identically, trusted order of the
     residual window).
     """
-    L, r = ode.size, ode.rank_at_infinity
-    if phi.size != L:
-        raise ValueError("expansion size does not match the system")
-    order = phi.order
-    if order < 2:
-        raise InsufficientOrder("need an expansion of order >= 2")
-    n_big = order + r + 1
-    atil = _a_tilde(ode, n_big - 1)
-    a_series = [
-        [
-            TruncatedSeries([atil[k].at(a, b) for k in range(n_big)], n_big)
-            for b in range(L)
-        ]
-        for a in range(L)
-    ]
+    r = ode.rank_at_infinity
     tprime = []
-    for b in range(L):
+    for b in range(ode.size):
         coeffs = [Fraction(0)] * (r + 1)
         for j in range(1, r + 1):
             coeffs[r - j] -= exponents.irregular[j - 1][b]
         coeffs[r] -= exponents.exponents[b]
-        tprime.append(TruncatedSeries(coeffs, n_big))
-    all_zero = True
-    window = None
-    for a in range(L):
-        for b in range(L):
-            e = phi.entry(a, b)
-            dphi = TruncatedSeries(
-                [(m + 1) * e.coefficient(m + 1) for m in range(order - 1)],
-                order - 1,
-            )
-            res = -(dphi.shift(r + 1)) + e * tprime[b]
-            for g in range(L):
-                res = res - a_series[a][g] * phi.entry(g, b)
-            if not res.is_zero():
-                all_zero = False
-            window = res.order if window is None else min(window, res.order)
-    return all_zero, window if window is not None else 0
+        tprime.append(TruncatedSeries(coeffs, phi.order))
+    return _residual(ode, phi, tprime)
+
+
+def gauge_residual(ode: RationalODE, gauge: GaugeExpansion) -> tuple[bool, int]:
+    """Check -w^{r+1} Psi_w + Psi S = Atil Psi on the window of Psi.
+
+    S's coefficients 0..r are the exponent data, so this covers every
+    value the expansion reports. Returns (vanishes identically, window).
+    """
+    return _residual(ode, gauge.psi, gauge.s)
 
 
 def pii_system(theta, lam, mu, u, t) -> RationalODE:
@@ -323,6 +381,10 @@ def accessory_count(spectral: Sequence[Sequence[int]], L: int, N: int) -> int:
 
 
 def _matrix_from_lists(rows: Sequence[Sequence[object]], size: int) -> ExactMatrix:
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
+        raise ValueError("a matrix must be a list of rows")
     m = ExactMatrix([[rational(x) for x in row] for row in rows])
     if m.rows != size or m.cols != size:
         raise ValueError(f"expected {size}x{size} matrix, got {m.rows}x{m.cols}")
@@ -338,8 +400,18 @@ def ode_from_dict(data: dict) -> RationalODE:
     size = data.get("L")
     if type(size) is not int:
         raise ValueError("L must be an integer")
+    pole_list = data.get("poles", [])
+    if not isinstance(pole_list, (list, tuple)):
+        raise ValueError("poles must be a list")
     poles = []
-    for entry in data.get("poles", []):
+    for idx, entry in enumerate(pole_list):
+        if not isinstance(entry, dict):
+            raise ValueError(f"poles[{idx}] must be an object")
+        for key in ("position", "matrices"):
+            if key not in entry:
+                raise ValueError(f"poles[{idx}] has no {key}")
+        if not isinstance(entry["matrices"], (list, tuple)):
+            raise ValueError(f"poles[{idx}].matrices must be a list")
         poles.append(
             FinitePole(
                 position=rational(entry["position"]),
@@ -348,7 +420,10 @@ def ode_from_dict(data: dict) -> RationalODE:
                 ),
             )
         )
-    infinity = tuple(_matrix_from_lists(m, size) for m in data.get("infinity", []))
+    infinity_list = data.get("infinity", [])
+    if not isinstance(infinity_list, (list, tuple)):
+        raise ValueError("infinity must be a list")
+    infinity = tuple(_matrix_from_lists(m, size) for m in infinity_list)
     return RationalODE(size=size, poles=tuple(poles), infinity=infinity)
 
 

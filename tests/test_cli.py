@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+import shlex
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +210,42 @@ class TestOde:
         assert "note" in results
         assert report["checks"][0]["pass"]
 
+    def test_negative_rational_parameter_is_a_value(self, capsys):
+        report = run_report(
+            capsys, ["ode", "--pii", "-1/2", "0", "-1", "1", "2", "--order", "10"]
+        )
+        assert report["inputs"]["pii"] == ["-1/2", "0", "-1", "1", "2"]
+        assert report["results"]["exponents"] == ["-1/2", "1/2"]
+        assert report["checks"][0]["pass"]
+
+    @pytest.mark.parametrize(
+        "order, code, needle",
+        [
+            ("1", 3, "insufficient order: need an expansion of order >= 2"),
+            ("0", 1, "error: order must be >= 1"),
+        ],
+    )
+    def test_too_short_orders(self, capsys, order, code, needle):
+        got, out, err = run(capsys, ["ode", "--pii", "1/2", "0", "-1", "1", "2", "--order", order])
+        assert got == code
+        assert out == ""
+        assert err == needle + "\n"
+
+    def test_readme_invocations_succeed(self, capsys, tmp_path, monkeypatch):
+        """Every `padetau ode` line in README's ode section, run as written."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### ode", 1)[1].split("\n### ", 1)[0]
+        lines = [ln for ln in section.splitlines() if ln.startswith("padetau ode ")]
+        assert "padetau ode --pii -1/2 0 -1 1 2 --order 10" in lines
+        # system.json is the README's own ODE system example
+        spec = readme.split("**ODE system**", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        (tmp_path / "system.json").write_text(spec, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            code, out, err = run(capsys, shlex.split(line)[1:])
+            assert code == 0, (line, err)
+            assert all(c["pass"] for c in json.loads(out)["checks"]), line
+
     def test_zero_parameter_exits_2(self, capsys):
         code, out, err = run(capsys, ["ode", "--pii", "1/2", "0", "-1", "0", "2", "--order", "8"])
         assert code == 2
@@ -362,6 +400,21 @@ class TestUsageAndIOErrors:
         path = write_json(tmp_path, "spec.json", spec)
         err = self.assert_input_error(capsys, ["ode", "--spec", path, "--order", "4"])
         assert needle in err
+
+    @pytest.mark.parametrize(
+        "poles, needle",
+        [
+            ([{"position": "1"}], "poles[0] has no matrices"),
+            ([{"matrices": [[["1", "0"], ["0", "2"]]]}], "poles[0] has no position"),
+            ({"position": "1"}, "poles must be a list"),
+            (["1"], "poles[0] must be an object"),
+        ],
+    )
+    def test_ode_spec_pole_structure_exits_1(self, capsys, tmp_path, poles, needle):
+        spec = {"v": 1, "L": 2, "poles": poles, "infinity": [[["-2", "0"], ["0", "3"]]]}
+        path = write_json(tmp_path, "spec.json", spec)
+        err = self.assert_input_error(capsys, ["ode", "--spec", path, "--order", "4"])
+        assert err == f"error: {needle}\n"
 
     @pytest.mark.parametrize("bad", ["0.5", "1_0", "1e3", " 1"])
     def test_pii_parameter_outside_the_grammar_exits_1(self, capsys, bad):

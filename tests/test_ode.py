@@ -13,6 +13,7 @@ from helpers import ode_residual_oracle
 from padetau import (
     ExactMatrix,
     FinitePole,
+    GaugeExpansion,
     InfinityExponentData,
     InsufficientOrder,
     InvalidPartition,
@@ -20,11 +21,14 @@ from padetau import (
     NonDiagonalizableLeading,
     RationalODE,
     ResonantExponents,
+    SeriesFamily,
     TruncatedSeries,
     ZeroParameter,
     accessory_count,
     expand_at_infinity,
     expansion_residual,
+    gauge_expansion,
+    gauge_residual,
     normalize_family,
     ode_from_dict,
     ode_to_dict,
@@ -171,6 +175,139 @@ def test_residual_needs_two_orders():
     phi, data = expand_at_infinity(ode, 1)
     with pytest.raises(InsufficientOrder):
         expansion_residual(ode, phi, data)
+    with pytest.raises(InsufficientOrder):
+        gauge_residual(ode, gauge_expansion(ode, 1))
+    with pytest.raises(ValueError):
+        gauge_expansion(ode, 0)
+
+
+# ---------------------------------------------------------------------------
+# the gauge route (Psi, S) against the Phi route as its oracle
+
+
+@st.composite
+def finite_pole_systems(draw):
+    """L = 2 or 3, rank 1 or 2 at infinity, one or two finite poles."""
+    size = draw(st.sampled_from((2, 3)))
+    r = draw(st.integers(1, 2))
+
+    def matrix():
+        return M([[draw(small_fraction) for _ in range(size)] for _ in range(size)])
+
+    lead = draw(st.lists(small_fraction, min_size=size, max_size=size, unique=True))
+    leading = M([[lead[a] if a == b else 0 for b in range(size)] for a in range(size)])
+    infinity = tuple(matrix() for _ in range(r - 1)) + (leading,)
+    positions = draw(st.lists(small_fraction, min_size=1, max_size=2, unique=True))
+    poles = tuple(
+        FinitePole(
+            position=a,
+            matrices=tuple(matrix() for _ in range(draw(st.integers(1, 2)))),
+        )
+        for a in positions
+    )
+    return RationalODE(size=size, poles=poles, infinity=infinity)
+
+
+@st.composite
+def pii_systems(draw):
+    theta, lam, mu, t = (draw(small_fraction) for _ in range(4))
+    u = draw(small_fraction.filter(lambda v: v != 0))
+    return pii_system(theta, lam, mu, u, t)
+
+
+def assert_gauge_matches_phi_route(ode, order):
+    gauge = gauge_expansion(ode, order)
+    phi, data = expand_at_infinity(ode, order)
+    assert gauge.exponents == data
+    assert gauge.psi.order == order
+    assert all(s.order == ode.rank_at_infinity + order for s in gauge.s)
+    assert SeriesFamily(gauge.psi.first_column()) == normalize_family(phi.first_column())
+    assert gauge_residual(ode, gauge) == expansion_residual(ode, phi, data) == (True, order)
+    assert ode_residual_oracle(ode, phi, data)
+
+
+@settings(max_examples=15, deadline=None)
+@given(pii_systems(), st.integers(2, 12))
+def test_gauge_family_matches_phi_route_on_pii(ode, order):
+    assert_gauge_matches_phi_route(ode, order)
+
+
+@settings(max_examples=15, deadline=None)
+@given(finite_pole_systems(), st.integers(2, 7))
+def test_gauge_family_matches_phi_route_with_poles(ode, order):
+    assert_gauge_matches_phi_route(ode, order)
+
+
+def bump(series: TruncatedSeries, k: int) -> TruncatedSeries:
+    coeffs = list(series.coeffs)
+    coeffs[k] += 1
+    return TruncatedSeries(coeffs, series.order)
+
+
+def with_psi_bumped(gauge: GaugeExpansion, a: int, b: int, k: int) -> GaugeExpansion:
+    size = gauge.psi.size
+    entries = [
+        [
+            bump(gauge.psi.entry(i, j), k) if (i, j) == (a, b) else gauge.psi.entry(i, j)
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
+    return GaugeExpansion(MatrixSeries(entries), gauge.s, gauge.exponents)
+
+
+def with_s_bumped(gauge: GaugeExpansion, b: int, k: int) -> GaugeExpansion:
+    s = tuple(bump(sb, k) if j == b else sb for j, sb in enumerate(gauge.s))
+    return GaugeExpansion(gauge.psi, s, gauge.exponents)
+
+
+MUTATION_SYSTEMS = [
+    pii_system(Fraction(1, 2), 0, -1, 1, 2),
+    RationalODE(
+        size=3,
+        poles=(
+            FinitePole(
+                position=Fraction(1, 3),
+                matrices=(
+                    M([[1, 2, 0], [0, -1, 1], [1, 0, 2]]),
+                    M([["1/2", 0, 1], [1, 1, 0], [0, 2, 1]]),
+                ),
+            ),
+        ),
+        infinity=(M([[1, 0, 2], [0, 3, 1], [1, 1, 0]]), M([[-2, 0, 0], [0, 3, 0], [0, 0, 1]])),
+    ),
+]
+
+
+@pytest.mark.parametrize("ode", MUTATION_SYSTEMS, ids=["pii", "L3_pole"])
+def test_gauge_residual_catches_every_single_coefficient_error(ode):
+    order = 6
+    size = ode.size
+    gauge = gauge_expansion(ode, order)
+    assert gauge_residual(ode, gauge) == (True, order)
+    for a in range(size):
+        for b in range(size):
+            if a != b:
+                for k in range(1, order):
+                    ok, _ = gauge_residual(ode, with_psi_bumped(gauge, a, b, k))
+                    assert not ok, (a, b, k)
+    for b in range(size):
+        # every S coefficient inside the window: T_{-r}..T_0, then the tail
+        for k in range(order):
+            ok, _ = gauge_residual(ode, with_s_bumped(gauge, b, k))
+            assert not ok, (b, k)
+
+
+def test_phi_residuals_agree_on_a_broken_expansion():
+    ode = MUTATION_SYSTEMS[1]
+    phi, data = expand_at_infinity(ode, 6)
+    entries = [
+        [bump(phi.entry(i, j), 3) if (i, j) == (2, 0) else phi.entry(i, j) for j in range(3)]
+        for i in range(3)
+    ]
+    broken = MatrixSeries(entries)
+    assert expansion_residual(ode, broken, data) == (False, 6)
+    assert not ode_residual_oracle(ode, broken, data)
 
 
 # ---------------------------------------------------------------------------
