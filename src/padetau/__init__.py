@@ -57,7 +57,6 @@ from .pade import (
     mahler_duality_check,
     q_matrix,
     schlesinger_matrix,
-    simultaneous_condition_table,
     simultaneous_pade,
 )
 from .pfaffian import (

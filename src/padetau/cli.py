@@ -219,8 +219,11 @@ def _cmd_ode(args) -> dict:
     tdata = gauge.exponents
     fam = SeriesFamily(gauge.psi.first_column())
     series_file = family_to_series_file(fam)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+    ok, window = gauge_residual(ode, gauge)
+    # A file left by a run whose check failed or that raised would look valid.
+    written_to = args.out if ok and args.out else None
+    if written_to:
+        with open(written_to, "w", encoding="utf-8") as handle:
             handle.write(canonical_json(series_file))
     vanishing = [
         i for i in range(1, fam.size) if fam.series(i).is_zero()
@@ -231,12 +234,11 @@ def _cmd_ode(args) -> dict:
         "irregular": [[str(x) for x in diag] for diag in tdata.irregular],
         "exponents": [str(x) for x in tdata.exponents],
         "series_file": series_file,
-        "written_to": args.out,
+        "written_to": written_to,
     }
     if vanishing:
         results["degenerate_members"] = vanishing
         results["note"] = "listed members vanish identically on the trusted window"
-    ok, window = gauge_residual(ode, gauge)
     checks = [
         make_check(f"ode_residual_to_order_{window}", ok, "0" if ok else "nonzero", "0")
     ]

@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .errors import ConsistencyError, DegenerateFamily, InsufficientOrder, SingularMatrix
 from .linalg import ExactMatrix, ToeplitzBlockSpec, hstack, int_det, solve_exact, toeplitz_block
-from .series import Polynomial, SeriesFamily, TruncatedSeries
+from .series import Polynomial, SeriesFamily, TruncatedSeries, row_times_column
 
 __all__ = [
     "PolyMatrix",
@@ -42,7 +42,6 @@ __all__ = [
     "mahler_duality",
     "mahler_duality_check",
     "schlesinger_matrix",
-    "simultaneous_condition_table",
 ]
 
 
@@ -269,28 +268,12 @@ def _row_remainder(fam: SeriesFamily, qrow: Sequence[Polynomial], i: int) -> Tru
     """rho^i = Q^(i)_i f_i + sum_{j != i} w Q^(i)_j f_j, tightest window.
 
     The f_0 factor is the constant 1 (exact at every order by the family
-    invariant), so the j = 0 term never limits the trust window.
+    invariant), so the j = 0 term never limits the trust window: it is
+    added last, at the window of the other terms.
     """
-    L = fam.size
-    n_order = fam.order
-    finite: list[int] = []
-    for j in range(L):
-        p = qrow[j]
-        if p.is_zero() or j == 0:
-            continue
-        val = p.valuation()
-        finite.append(n_order + (0 if j == i else 1) + val)
-    target = min(finite) if finite else n_order + 1
-    acc = TruncatedSeries.zero(target)
-    for j in range(L):
-        p = qrow[j].shift(0 if j == i else 1)
-        if p.is_zero():
-            continue
-        if j == 0:
-            acc = acc + p.as_series(target)
-        else:
-            acc = acc + p.times_series(fam.series(j)).truncate(target)
-    return acc
+    weighted = [p.shift(0 if j == i else 1) for j, p in enumerate(qrow)]
+    acc = row_times_column(weighted[1:], fam.members[1:])
+    return acc + weighted[0].as_series(acc.order)
 
 
 def hermite_pade(fam: SeriesFamily, n: int) -> HermitePadeResult:
@@ -428,55 +411,3 @@ def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:
             row.append(Polynomial(list(reversed(cs))))
         out.append(row)
     return PolyMatrix(out, var="x")
-
-
-def _weighted_components(pm: PolyMatrix) -> list[list[Polynomial | None]]:
-    """Strip the w^{1-delta_ij} weight from each entry; None if not divisible."""
-    n = pm.size
-    table: list[list[Polynomial | None]] = []
-    for i in range(n):
-        row: list[Polynomial | None] = []
-        for j in range(n):
-            e = pm.entry(i, j)
-            if i == j:
-                row.append(e)
-            elif e.coefficient(0) != 0:
-                row.append(None)
-            else:
-                row.append(Polynomial(e.coeffs[1:]))
-        table.append(row)
-    return table
-
-
-def simultaneous_condition_table(
-    result: HermitePadeResult, pm: PolyMatrix
-) -> dict[tuple[int, int], bool]:
-    """Record which (i, j) satisfy the direct smallness condition verbatim.
-
-    The condition tested is f_0 P^(i)_j - f_j w^{1-delta_ij} P^(i)_0 =
-    O(w^{nL}). Its intended index convention is ambiguous at j = 0, so the
-    table is reported as observed data; nothing here asserts a pattern.
-    """
-    fam = result.family
-    L = result.size
-    ln = result.n * L
-    comp = _weighted_components(pm)
-    table: dict[tuple[int, int], bool] = {}
-    for i in range(L):
-        for j in range(L):
-            p_ij = comp[i][j]
-            p_i0 = comp[i][0]
-            if p_ij is None or p_i0 is None:
-                table[(i, j)] = False
-                continue
-            weight = 0 if i == j else 1
-            shifted = p_i0.shift(weight)
-            if j == 0:
-                diff_poly = p_ij - shifted
-                head = [diff_poly.coefficient(k) for k in range(ln)]
-            else:
-                term = shifted.times_series(fam.series(j))
-                diff = p_ij.as_series(min(ln, term.order)) - term
-                head = list(diff.coeffs)
-            table[(i, j)] = all(c == 0 for c in head)
-    return table

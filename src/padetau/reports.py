@@ -25,6 +25,10 @@ __all__ = [
     "canonical_json",
 ]
 
+# A series file pads every row to the full window, and all later work runs
+# over it, so L * order is capped at this many coefficients.
+MAX_SERIES_COEFFICIENTS = 100_000
+
 
 def family_to_series_file(fam: SeriesFamily) -> dict:
     return {
@@ -51,6 +55,10 @@ def series_file_to_family(data: dict) -> SeriesFamily:
         raise ValueError("L must be an integer >= 2")
     if type(order) is not int or order < 1:
         raise ValueError("order must be a positive integer")
+    if size * order > MAX_SERIES_COEFFICIENTS:
+        raise ValueError(
+            f"L * order = {size * order} exceeds the limit of {MAX_SERIES_COEFFICIENTS} coefficients"
+        )
     if not isinstance(series, list) or len(series) != size:
         raise ValueError(f"series must list exactly L = {size} coefficient rows")
     members = []

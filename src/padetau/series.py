@@ -17,15 +17,13 @@ from typing import Iterable, Sequence
 from .errors import BadNormalization, InsufficientOrder, ZeroConstantTerm
 
 __all__ = [
-    "Rational",
     "rational",
     "TruncatedSeries",
     "Polynomial",
+    "row_times_column",
     "SeriesFamily",
     "normalize_family",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,6 +55,21 @@ def rational(value: int | str | Fraction) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value[:40]!r}") from None
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
+    """Coefficients 0..n-1 of the product of coefficient lists a and b.
+
+    The one truncated product in this module; exact zeros are skipped.
+    """
+    out = [_ZERO] * n
+    for j, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for k, y in enumerate(b[: n - j]):
+            if y != 0:
+                out[j + k] += x * y
+    return out
 
 
 class TruncatedSeries:
@@ -154,15 +167,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             order = min(self._order, other._order)
-            out = [_ZERO] * order
-            for j, a in enumerate(self._coeffs[:order]):
-                if a == 0:
-                    continue
-                for k in range(order - j):
-                    b = other._coeffs[k]
-                    if b != 0:
-                        out[j + k] += a * b
-            return TruncatedSeries(out, order)
+            return TruncatedSeries(_convolve(self._coeffs, other._coeffs, order), order)
         if isinstance(other, (int, Fraction)):
             c = rational(other)
             return TruncatedSeries([c * a for a in self._coeffs], self._order)
@@ -266,16 +271,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial.zero()
-            out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for j, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for k, b in enumerate(other._coeffs):
-                    if b != 0:
-                        out[j + k] += a * b
-            return Polynomial(out)
+            size = len(self._coeffs) + len(other._coeffs) - 1
+            return Polynomial(_convolve(self._coeffs, other._coeffs, size))
         if isinstance(other, (int, Fraction)):
             c = rational(other)
             return Polynomial([c * a for a in self._coeffs])
@@ -297,19 +294,8 @@ class Polynomial:
 
     def times_series(self, s: TruncatedSeries) -> TruncatedSeries:
         """p * s with the valuation-aware trust window s.order + val(p)."""
-        val = self.valuation()
-        if val is None:
-            return TruncatedSeries.zero(s.order)
-        order = s.order + val
-        out = [_ZERO] * order
-        for j, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for k in range(min(s.order, order - j)):
-                b = s.coeffs[k]
-                if b != 0:
-                    out[j + k] += a * b
-        return TruncatedSeries(out, order)
+        order = s.order + (self.valuation() or 0)
+        return TruncatedSeries(_convolve(self._coeffs, s.coeffs, order), order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -321,6 +307,21 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({[str(c) for c in self._coeffs]})"
+
+
+def row_times_column(
+    polys: Sequence[Polynomial], column: Sequence[TruncatedSeries]
+) -> TruncatedSeries:
+    """sum_k polys[k] * column[k] over the nonzero polys[k].
+
+    Each times_series term is trusted to column[k].order + val(polys[k]),
+    and + keeps the smallest window, so the sum carries the tightest
+    provable one. A row of zeros gives zero at the column's common order.
+    """
+    terms = [p.times_series(s) for p, s in zip(polys, column) if not p.is_zero()]
+    if not terms:
+        return TruncatedSeries.zero(min(s.order for s in column))
+    return sum(terms[1:], terms[0])
 
 
 class SeriesFamily:

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .linalg import ExactMatrix, ToeplitzBlockSpec, det_exact, hstack, toeplitz_block, vstack
 from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix
-from .series import Polynomial, SeriesFamily, TruncatedSeries, normalize_family
+from .series import Polynomial, SeriesFamily, TruncatedSeries, normalize_family, row_times_column
 
 __all__ = [
     "IdentityReport",
@@ -302,24 +302,6 @@ def characteristic_det(phi: MatrixSeries) -> Fraction:
     return a_det
 
 
-def _poly_row_times_column(
-    polys: Sequence[Polynomial], column: Sequence[TruncatedSeries]
-) -> TruncatedSeries:
-    base = min(s.order for s in column)
-    finite = [
-        column[k].order + p.valuation()
-        for k, p in enumerate(polys)
-        if not p.is_zero()
-    ]
-    target = min(finite) if finite else base
-    acc = TruncatedSeries.zero(target)
-    for k, p in enumerate(polys):
-        if p.is_zero():
-            continue
-        acc = acc + p.times_series(column[k]).truncate(target)
-    return acc
-
-
 @dataclass(frozen=True)
 class ShiftCheckReport:
     """Outcome of the exponent-shift verification for one (phi, n).
@@ -359,7 +341,7 @@ def schlesinger_shift_check(phi: MatrixSeries, n: int) -> ShiftCheckReport:
     for jcol in range(L):
         column = [phi.entry(k, jcol) for k in range(L)]
         for i in range(L):
-            u = _poly_row_times_column([qm.entry(i, k) for k in range(L)], column)
+            u = row_times_column([qm.entry(i, k) for k in range(L)], column)
             if jcol == 0:
                 head = min(ln, u.order)
                 if any(u.coefficient(m) != 0 for m in range(head)):
@@ -399,24 +381,16 @@ def one_step_sign(L: int, n: int) -> int:
 def apply_schlesinger(fam: SeriesFamily, n: int) -> SeriesFamily:
     """One Schlesinger step at the series level: f_i -> rho^i / rho^0.
 
-    The returned family's trusted order is fam.order - (Ln + 1). A member
+    That is normalize_family on the column rho^i / w^{Ln}. The returned family's trusted order is fam.order - (Ln + 1). A member
     that is identically zero on the window (a vanishing remainder) simply
     stays zero; downstream determinants then report the degeneracy.
     """
     hp = hermite_pade(fam, n)
-    L = fam.size
-    ln = L * n
-    new_order = fam.order - (ln + 1)
-    try:
-        base = hp.remainders[0].shift(-ln)
-    except ValueError as exc:
-        raise ConsistencyError(f"rho^0 not divisible by w^{ln}: {exc}") from None
-    inv = base.invert()
-    members = [TruncatedSeries.constant(1, new_order)]
-    for i in range(1, L):
+    ln = fam.size * n
+    column = []
+    for i, rho in enumerate(hp.remainders):
         try:
-            num = hp.remainders[i].shift(-ln)
+            column.append(rho.shift(-ln))
         except ValueError as exc:
             raise ConsistencyError(f"rho^{i} not divisible by w^{ln}: {exc}") from None
-        members.append((num * inv).truncate(new_order))
-    return SeriesFamily(members)
+    return normalize_family(column).truncate(fam.order - (ln + 1))

@@ -246,6 +246,24 @@ class TestOde:
             assert code == 0, (line, err)
             assert all(c["pass"] for c in json.loads(out)["checks"]), line
 
+    def test_short_order_writes_no_out_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["ode", "--pii", "1/2", "0", "-1", "1", "2", "--order", "1", "--out", "o.json"]
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert not (tmp_path / "o.json").exists()
+
+    def test_failing_residual_writes_no_out_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(padetau.cli, "gauge_residual", lambda ode, gauge: (False, 10))
+        out_path = tmp_path / "o.json"
+        argv = ["ode", "--pii", "1/2", "0", "-1", "1", "2", "--order", "10", "--out", str(out_path)]
+        report = run_report(capsys, argv)
+        assert report["results"]["written_to"] is None
+        assert report["inputs"]["out"] == str(out_path)
+        assert not report["checks"][0]["pass"]
+        assert not out_path.exists()
+
     def test_zero_parameter_exits_2(self, capsys):
         code, out, err = run(capsys, ["ode", "--pii", "1/2", "0", "-1", "0", "2", "--order", "8"])
         assert code == 2
@@ -334,6 +352,17 @@ class TestUsageAndIOErrors:
         code, out, err = run(capsys, ["approx", str(tmp_path / "absent.json"), "-n", "1"])
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [["approx", "-n", "1"], ["tau", "--n-max", "1"]])
+    def test_oversized_series_file_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "big.json"
+        path.write_text('{"v":1,"L":2,"order":2000000,"series":[["1"],["0","1"]]}', encoding="ascii")
+        assert path.stat().st_size == 56
+        code, out, err = run(capsys, [command[0], str(path), *command[1:]])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: L * order = 4000000 exceeds the limit of 100000")
+        assert err.count("\n") == 1
 
     def test_zero_denominator_exits_1(self, capsys, tmp_path):
         data = arithmetic_file()

@@ -1,0 +1,72 @@
+"""Golden outputs: the SHA-256 of each report for a few fixed invocations.
+
+Reports must stay byte-identical on fixed inputs (acceptance criterion
+10); a refactor that changes any byte of these reports fails here. Inputs
+are written into tmp_path and named by relative paths, so the "input"
+field of each report does not depend on where the test runs.
+
+To re-pin after a deliberate change of output, print the new digests
+and update GOLDEN together with a note of what changed and why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from padetau.cli import main
+
+
+def family_file(size: int, order: int) -> dict:
+    """A fixed nondegenerate family: f_0 = 1, f_i(0) = 0, small rationals."""
+    rows = [["1"] + ["0"] * (order - 1)]
+    for i in range(1, size):
+        rows.append(
+            ["0"]
+            + [
+                str(Fraction((i * k * k + 3 * k + i) % 11 - 5, 1 + (i + k) % 3))
+                for k in range(1, order)
+            ]
+        )
+    return {"v": 1, "L": size, "order": order, "series": rows}
+
+
+INPUTS = {f"fam{size}.json": family_file(size, 2 * size + 2) for size in (2, 3, 4, 5)}
+INPUTS["tau3.json"] = family_file(3, 14)
+
+GOLDEN = {
+    "approx fam2.json -n 2 --emit all":
+        "212a51e10a1571524f323e8168db23504706fb311097d09b2f80198a779b638e",
+    "approx fam3.json -n 2 --emit all":
+        "52b1d969b9b8ffb8884825b9e6c69a5e2a60971a1093ff394eb590710d45ea35",
+    "approx fam4.json -n 2 --emit all":
+        "4cc70dc8c090c02199f2d18acf701c137676997f9df5bdd532509f65877fec5a",
+    "approx fam5.json -n 2 --emit all":
+        "e5c621c2d3d3d762c112bf83ae511edc7449dd3ee35e8200b1e25d8d9c189713",
+    "tau tau3.json --n-max 4":
+        "dc5da0641dfcb0125248b81643b300aef487b544ff44488146f4a14ca7946864",
+    "ode --pii 1/2 0 -1 1 2 --order 20":
+        "ff92d7f74c911592945e29f1d1799354ccabecdd2d7699271c54aa23638de484",
+    "selfcheck --suite identities --seed 0":
+        "ffb6416b0c1cd1654452498e61f14344e22377391937a885e30c6b94bb028f0a",
+}
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SEED", raising=False)
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_report_digest(command, workdir, capsys):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[command], out

@@ -29,7 +29,6 @@ from padetau import (
     mahler_duality_check,
     q_matrix,
     schlesinger_matrix,
-    simultaneous_condition_table,
     simultaneous_pade,
 )
 
@@ -85,9 +84,6 @@ def test_arithmetic_member_table():
     assert pm.entries == ((P(1, -2), P(0, 1)), (P(0, -1), P()))
     rm = schlesinger_matrix(res)
     assert rm.entries == ((P(), P(1)), (P(-1), P(-2, 1)))
-
-    table = simultaneous_condition_table(res, pm)
-    assert table == {(0, 0): True, (0, 1): False, (1, 0): False, (1, 1): False}
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +144,37 @@ def test_table_structure(size, n, seed):
     assert all(res.remainders[0].coefficient(k) == 0 for k in range(ln))
     for i in range(1, size):
         assert all(res.remainders[i].coefficient(k) == 0 for k in range(ln + 1))
+
+
+def test_remainder_window_grows_with_row_0_valuation():
+    # f_1 = w^2, n = 2: Q^(0) = (0, w), so rho^0 = w * w * f_1 = w^4 is
+    # trusted to 7 + 1 + val(w) = 9; rho^1 keeps the family's order 7.
+    fam = family_from_rows([[1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0]])
+    res = hermite_pade(fam, 2)
+    assert res.q_table[0] == (P(), P(0, 1))
+    assert res.remainders[0] == TruncatedSeries([0, 0, 0, 0, 1], 9)
+    assert res.remainders[1].order == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_remainder_trust_windows(size, n, seed):
+    """The windows `approx --emit remainders` prints: rows i >= 1 keep the
+    family's order (Q^(i)_i(0) = 1); row 0 gains 1 + min val(Q^(0)_j)."""
+    rng = random.Random(seed)
+    order = size * n + rng.randint(2, 4)
+    rows = [[1] + [0] * (order - 1)]
+    for _ in range(size - 1):
+        rows.append([0] + [rng.choice((0, 0, 1, -1, rand_frac(rng))) for _ in range(order - 1)])
+    fam = family_from_rows(rows)
+    try:
+        res = hermite_pade(fam, n)
+    except DegenerateFamily:
+        return
+    for i in range(1, size):
+        assert res.remainders[i].order == fam.order
+    vals = [p.valuation() for p in res.q_table[0][1:] if not p.is_zero()]
+    assert res.remainders[0].order == fam.order + 1 + min(vals)
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,6 +20,7 @@ from padetau import (
     normalize_family,
     rational,
 )
+from padetau.series import row_times_column
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=4
@@ -131,6 +132,45 @@ def test_polynomial_series_interplay():
     assert p.shift(2).coeffs == (Fraction(0), Fraction(0), Fraction(1), Fraction(-2))
     with pytest.raises(ValueError):
         p.shift(-1)
+
+
+nonzero_fractions_st = fractions_st.filter(lambda c: c != 0)
+# a polynomial w^v (c_0 + ... ) with v >= 1, c_0 != 0 and interior zeros
+shifted_polys_st = st.tuples(
+    st.integers(1, 4),
+    nonzero_fractions_st,
+    st.lists(st.one_of(st.just(Fraction(0)), fractions_st), max_size=6),
+).map(lambda t: [Fraction(0)] * t[0] + [t[1]] + t[2])
+
+
+@given(shifted_polys_st, coeff_lists)
+def test_times_series_matches_convolution_on_valuation_window(p, s):
+    poly = Polynomial(p)
+    val = poly.valuation()
+    assert val >= 1
+    prod = poly.times_series(TruncatedSeries(s))
+    assert prod.order == len(s) + val
+    assert list(prod.coeffs) == conv_window(p, s, len(s) + val)
+
+
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.just([]), shifted_polys_st, coeff_lists), coeff_lists),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_row_times_column_keeps_the_tightest_window(pairs):
+    polys = [Polynomial(p) for p, _ in pairs]
+    column = [TruncatedSeries(s) for _, s in pairs]
+    got = row_times_column(polys, column)
+    windows = [s.order + p.valuation() for p, s in zip(polys, column) if not p.is_zero()]
+    win = min(windows) if windows else min(s.order for s in column)
+    assert got.order == win
+    want = [Fraction(0)] * win
+    for p, s in pairs:
+        want = [a + b for a, b in zip(want, conv_window(p, s, win))]
+    assert list(got.coeffs) == want
 
 
 def test_family_invariants():
