@@ -28,6 +28,7 @@ from .errors import (
 from .linalg import (
     ExactMatrix,
     ToeplitzBlockSpec,
+    block_toeplitz_det,
     det_exact,
     hstack,
     solve_exact,

@@ -1,12 +1,15 @@
 """Exact dense linear algebra over the rationals.
 
-Determinants and solves run fraction-free: each row is scaled to clear
-denominators, elimination is integer Bareiss (exact divisions only), and
-the rational answer is recovered at the end. One kernel, `bareiss`, does
-every elimination: `det_exact`, `solve_exact` (one or several right-hand
-sides) and, through `int_det`, the polynomial determinants in `pade`.
-No pivoting heuristics beyond the first nonzero entry; exactness makes
-stability a non-issue.
+Determinants and solves run fraction-free: elimination is integer Bareiss
+(exact divisions only) and the rational answer is recovered at the end.
+A general matrix has each row scaled to clear its denominators. A block
+Toeplitz matrix (`block_toeplitz_det`) is written as integers directly:
+each family member it reads is scaled once, which scales whole columns,
+so no Fraction matrix is built. One kernel, `bareiss`, does every
+elimination: `det_exact`, `block_toeplitz_det`, `solve_exact` (one or
+several right-hand sides) and, through `int_det`, the polynomial
+determinants in `pade`. No pivoting heuristics beyond the first nonzero
+entry; exactness makes stability a non-issue.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import NotSquare, SingularMatrix
+from .errors import InsufficientOrder, NotSquare, SingularMatrix
 from .series import SeriesFamily, rational
 
 __all__ = [
     "ExactMatrix",
     "ToeplitzBlockSpec",
     "toeplitz_block",
+    "block_toeplitz_det",
     "hstack",
     "vstack",
     "det_exact",
@@ -203,14 +207,82 @@ def toeplitz_block(fam: SeriesFamily, spec: ToeplitzBlockSpec) -> ExactMatrix:
     )
 
 
-def _clear_denominators(m: ExactMatrix) -> tuple[list[list[int]], Fraction]:
+def block_toeplitz_det(
+    fam: SeriesFamily, bands: Sequence[Sequence[ToeplitzBlockSpec]]
+) -> Fraction:
+    """Determinant of the block matrix with block (r, c) = toeplitz_block(bands[r][c]).
+
+    Blocks in one block row share a height; blocks in one block column
+    share a series index t and a width w_t. Any other layout raises
+    ValueError, a non-square matrix NotSquare; no blocks at all is the
+    empty matrix, determinant 1. The matrix is written as integers: f_t is
+    scaled once by d_t, the lcm of the denominators of the coefficients
+    read from it (f_0 = 1 gives d_0 = 1), and entry (r, c) of a block is
+    ints_t[offset + r - c]. Indices below zero read as 0; an index at or
+    past fam.order raises InsufficientOrder, as in toeplitz_block. Scaling
+    a column by d_t > 0 is exact and keeps the sign, so the determinant is
+    int_det / prod_t d_t^{w_t}.
+    """
+    if not bands:
+        return Fraction(1)
+    columns = [(spec.series_index, spec.width) for spec in bands[0]]
+    reach: dict[int, tuple[int, int]] = {}  # t -> lowest, highest index read
+    for row in bands:
+        if not row or len(row) != len(columns):
+            raise ValueError("every block row needs one block per block column")
+        for spec, column in zip(row, columns):
+            if (spec.series_index, spec.width) != column:
+                raise ValueError("blocks in a block column differ in series or width")
+            if spec.height != row[0].height:
+                raise ValueError("blocks in a block row differ in height")
+            if not (spec.height and spec.width):
+                continue
+            lo = spec.offset - spec.width + 1
+            hi = spec.offset + spec.height - 1
+            if hi >= fam.order:
+                raise InsufficientOrder(
+                    f"coefficient {hi} requested but series trusted only below order {fam.order}"
+                )
+            if spec.series_index in reach:
+                old_lo, old_hi = reach[spec.series_index]
+                lo, hi = min(lo, old_lo), max(hi, old_hi)
+            reach[spec.series_index] = (lo, hi)
+    # views[t] = (d_t, hi, the ints of f_t from index hi down to lo);
+    # row r of a block then reads the contiguous slice from hi - offset - r.
+    views: dict[int, tuple[int, int, list[int]]] = {}
+    for t, (lo, hi) in reach.items():
+        coeffs = fam.series(t).coeffs[: max(hi + 1, 0)]
+        d = lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (d // x.denominator) for x in reversed(coeffs)]
+        views[t] = (d, hi, ints + [0] * max(0, -lo))
+    rows: list[list[int]] = []
+    for row in bands:
+        for r in range(row[0].height):
+            line: list[int] = []
+            for spec in row:
+                if spec.width:
+                    _, hi, rev = views[spec.series_index]
+                    start = hi - spec.offset - r
+                    line += rev[start : start + spec.width]
+            rows.append(line)
+    size = sum(w for _, w in columns)
+    if len(rows) != size:
+        raise NotSquare(f"determinant of {len(rows)}x{size} block matrix")
+    scale = 1
+    for t, w in columns:
+        if t in views:
+            scale *= views[t][0] ** w
+    return Fraction(int_det(rows), scale)
+
+
+def _clear_denominators(m: ExactMatrix) -> tuple[list[list[int]], int]:
     """Scale each row to integers; returns (int rows, product of scales)."""
     out: list[list[int]] = []
-    scale = Fraction(1)
+    scale = 1
     for row in m.entries:
-        d = lcm(*(x.denominator for x in row)) if row else 1
+        d = lcm(*(x.denominator for x in row))
         scale *= d
-        out.append([int(x * d) for x in row])
+        out.append([x.numerator * (d // x.denominator) for x in row])
     return out, scale
 
 
@@ -262,7 +334,7 @@ def det_exact(m: ExactMatrix) -> Fraction:
     if not m.is_square():
         raise NotSquare(f"determinant of {m.rows}x{m.cols} matrix")
     a, scale = _clear_denominators(m)
-    return Fraction(int_det(a)) / scale
+    return Fraction(int_det(a), scale)
 
 
 def solve_exact(

@@ -139,18 +139,25 @@ class PolyMatrix:
         return Polynomial([Fraction(c, total) for c in _interpolate(values)])
 
     def adjugate(self) -> PolyMatrix:
-        """adj with self * adj = det * I (classical adjugate).
+        """adj with self * adj = det * I (classical adjugate)."""
+        return self._det_and_adjugate()[1]
+
+    def _det_and_adjugate(self) -> tuple[Polynomial, PolyMatrix]:
+        """(det, adj) from one set of evaluations.
 
         Every signed cofactor of B = diag(s) A is found at x = 0..D by
         integer Bareiss and interpolated, the same bound D covering each
-        entry; then adj(A)_{ij} = adj(B)_{ij} s_j / prod(s).
+        entry; then adj(A)_{ij} = adj(B)_{ij} s_j / prod(s). At each point
+        det B = sum_i B_{0i} adj(B)_{i0}, expansion along row 0, and
+        det A = det B / prod(s).
         """
         n = self._size
         if n == 0:
-            return self
+            return Polynomial.one(), self
         points, scales = self._integer_points()
         total = prod(scales)
         values = [[[] for _ in range(n)] for _ in range(n)]
+        dets = []
         for m in points:
             for i in range(n):
                 for j in range(n):
@@ -161,7 +168,9 @@ class PolyMatrix:
                     ]
                     cof = int_det(minor)
                     values[i][j].append(cof if (i + j) % 2 == 0 else -cof)
-        return PolyMatrix(
+            dets.append(sum(m[0][i] * values[i][0][-1] for i in range(n)))
+        det = Polynomial([Fraction(c, total) for c in _interpolate(dets)])
+        adj = PolyMatrix(
             [
                 [
                     Polynomial(
@@ -173,6 +182,7 @@ class PolyMatrix:
             ],
             var=self._var,
         )
+        return det, adj
 
     def _integer_points(self) -> tuple[list[list[list[int]]], list[int]]:
         """B = diag(s) A evaluated at x = 0..D, and the row scales s.
@@ -354,12 +364,13 @@ def q_matrix(result: HermitePadeResult) -> PolyMatrix:
 def simultaneous_pade(result: HermitePadeResult) -> PolyMatrix:
     """The dual table P(w) with Q(w) P(w)^T = w^{nL} I.
 
-    det Q must be c * w^{nL} with c != 0; P^T is adj(Q)/c. With the row
-    normalizations in force c = 1, but c is computed, not assumed.
+    det Q, read off the evaluations that build adj Q, must be c * w^{nL}
+    with c != 0; P^T is adj(Q)/c. With the row normalizations in force
+    c = 1, but c is computed, not assumed.
     """
     qm = q_matrix(result)
     ln = result.n * result.size
-    d = qm.det()
+    d, adj = qm._det_and_adjugate()
     if d.is_zero():
         raise DegenerateFamily("det(Q)")
     c = d.coefficient(ln)
@@ -367,7 +378,7 @@ def simultaneous_pade(result: HermitePadeResult) -> PolyMatrix:
         raise DegenerateFamily("det(Q)")
     if d != Polynomial.one().shift(ln) * c:
         raise ConsistencyError(f"det Q is not a degree-{ln} monomial: {d!r}")
-    return qm.adjugate().transpose() * (1 / c)
+    return adj.transpose() * (1 / c)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,11 @@ successive quotients of the isomonodromic tau function are proportional to
 D_{n+1}/D_n. Every determinant here is evaluated along two independent
 routes (a full form containing the f_0 blocks and a reduced form without
 them) and the routes must agree exactly; disagreement raises
-ConsistencyError because it can only mean an implementation bug.
+ConsistencyError because it can only mean an implementation bug. Both
+forms are laid out as rows of ToeplitzBlockSpec and handed to
+linalg.block_toeplitz_det, which builds each one as a column-scaled
+integer matrix; only the exchange grid det(E^{i,j}_n), a general matrix,
+goes through det_exact.
 
 Conventions: D_0 = 1. The bordered determinant at (n, i, j) recovers the
 remainder coefficient rho^i_j of the type-I problem via
@@ -28,7 +32,7 @@ from .errors import (
     DegenerateFamily,
     InsufficientOrder,
 )
-from .linalg import ExactMatrix, ToeplitzBlockSpec, det_exact, hstack, toeplitz_block, vstack
+from .linalg import ExactMatrix, ToeplitzBlockSpec, block_toeplitz_det, det_exact
 from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix
 from .series import Polynomial, SeriesFamily, TruncatedSeries, normalize_family, row_times_column
 
@@ -72,16 +76,9 @@ def tau_determinant(fam: SeriesFamily, n: int) -> Fraction:
     ln = L * n
     if fam.order < ln:
         raise InsufficientOrder(f"need order >= {ln}; have {fam.order}")
-    full = det_exact(
-        hstack([toeplitz_block(fam, ToeplitzBlockSpec(j, 0, ln, n)) for j in range(L)])
-    )
-    reduced = det_exact(
-        hstack(
-            [
-                toeplitz_block(fam, ToeplitzBlockSpec(j, n, (L - 1) * n, n))
-                for j in range(1, L)
-            ]
-        )
+    full = block_toeplitz_det(fam, [[ToeplitzBlockSpec(j, 0, ln, n) for j in range(L)]])
+    reduced = block_toeplitz_det(
+        fam, [[ToeplitzBlockSpec(j, n, (L - 1) * n, n) for j in range(1, L)]]
     )
     if full != reduced:
         raise ConsistencyError(f"D_{n}: full {full} != reduced {reduced}")
@@ -105,32 +102,19 @@ def bordered_determinant(fam: SeriesFamily, n: int, i: int, j: int) -> Fraction:
     if fam.order < ln + j + 1:
         raise InsufficientOrder(f"need order >= {ln + j + 1}; have {fam.order}")
 
-    def widths(t: int) -> tuple[int, int]:
-        # (offset bump, width) of block t relative to the D_n layout
-        return (1, n + 1) if t == i else (0, n)
+    def bands(first: int, body_offset: int, height: int) -> list[list[ToeplitzBlockSpec]]:
+        # body rows of blocks first..L-1, then the border row; relative to
+        # the D_n layout, block i is one column wider and one index ahead
+        body = []
+        border = []
+        for t in range(first, L):
+            bump = 1 if t == i else 0
+            body.append(ToeplitzBlockSpec(t, body_offset + bump, height, n + bump))
+            border.append(ToeplitzBlockSpec(t, ln + j - 1 + bump, 1, n + bump))
+        return [body, border]
 
-    body = []
-    border = []
-    for t in range(L):
-        bump, w = widths(t)
-        body.append(toeplitz_block(fam, ToeplitzBlockSpec(t, 0 + bump, ln, w)))
-        border.append(
-            toeplitz_block(fam, ToeplitzBlockSpec(t, ln + j - 1 + bump, 1, w))
-        )
-    full = det_exact(vstack([hstack(body), hstack(border)]))
-
-    body_r = []
-    border_r = []
-    for t in range(1, L):
-        bump, w = widths(t)
-        body_r.append(
-            toeplitz_block(fam, ToeplitzBlockSpec(t, n + bump, (L - 1) * n, w))
-        )
-        border_r.append(
-            toeplitz_block(fam, ToeplitzBlockSpec(t, ln + j - 1 + bump, 1, w))
-        )
-    reduced = det_exact(vstack([hstack(body_r), hstack(border_r)]))
-
+    full = block_toeplitz_det(fam, bands(0, 0, ln))
+    reduced = block_toeplitz_det(fam, bands(1, n, (L - 1) * n))
     if full != reduced:
         raise ConsistencyError(f"E^({i},{j})_{n}: full {full} != reduced {reduced}")
     return full

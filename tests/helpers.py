@@ -6,7 +6,10 @@ determinants, Cramer solves, cofactor-expansion polynomial determinants
 and adjugates, schoolbook convolution and long division for series,
 first-letter Pfaffian expansion, and a from-scratch residual for the
 expansion at irregular infinity.  Oracles work on plain lists of
-`fractions.Fraction` so a library bug cannot hide in both routes.
+`fractions.Fraction` so a library bug cannot hide in both routes.  The
+one exception is the Fraction route for block Toeplitz determinants,
+kept here as the oracle of `linalg.block_toeplitz_det`: it builds the
+matrix entry by entry as `Fraction`s and hands it to `det_exact`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,17 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from padetau import HermitePadeResult, Polynomial, SeriesFamily, TruncatedSeries
+from padetau import (
+    HermitePadeResult,
+    Polynomial,
+    SeriesFamily,
+    ToeplitzBlockSpec,
+    TruncatedSeries,
+    det_exact,
+    hstack,
+    toeplitz_block,
+    vstack,
+)
 
 # ---------------------------------------------------------------------------
 # random data
@@ -42,6 +55,64 @@ def rand_family(
 
 def family_from_rows(rows, order: int | None = None) -> SeriesFamily:
     return SeriesFamily([TruncatedSeries(row, order) for row in rows])
+
+
+def mixed_denominator_family(
+    rng: random.Random, size: int, order: int, zero_member: int | None = None
+) -> SeriesFamily:
+    """Like rand_family, but member i draws denominators up to its own
+    bound in 1..9; member zero_member, if given, is identically zero."""
+    members = [TruncatedSeries.constant(1, order)]
+    for i in range(1, size):
+        den = rng.randint(1, 9)
+        coeffs = [Fraction(0)] + [rand_frac(rng, 9, den) for _ in range(order - 1)]
+        if i == zero_member:
+            coeffs = [Fraction(0)] * order
+        members.append(TruncatedSeries(coeffs, order))
+    return SeriesFamily(members)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route for block Toeplitz determinants: every block a
+# Fraction matrix from toeplitz_block, stacked, then det_exact
+
+
+def fraction_block_det(fam: SeriesFamily, bands) -> Fraction:
+    """det of the block matrix with block (r, c) = toeplitz_block(bands[r][c])."""
+    return det_exact(
+        vstack([hstack([toeplitz_block(fam, spec) for spec in row]) for row in bands])
+    )
+
+
+def fraction_tau_forms(fam: SeriesFamily, n: int) -> tuple[Fraction, Fraction]:
+    """D_n by its full form (with the f_0 blocks) and its reduced form."""
+    size = fam.size
+    ln = size * n
+    full = fraction_block_det(
+        fam, [[ToeplitzBlockSpec(t, 0, ln, n) for t in range(size)]]
+    )
+    reduced = fraction_block_det(
+        fam, [[ToeplitzBlockSpec(t, n, (size - 1) * n, n) for t in range(1, size)]]
+    )
+    return full, reduced
+
+
+def fraction_bordered_forms(
+    fam: SeriesFamily, n: int, i: int, j: int
+) -> tuple[Fraction, Fraction]:
+    """E^{i,j}_n by its full form and its reduced form."""
+    size = fam.size
+    ln = size * n
+    forms = []
+    for first, body_offset, height in ((0, 0, ln), (1, n, (size - 1) * n)):
+        body = []
+        border = []
+        for t in range(first, size):
+            bump, width = (1, n + 1) if t == i else (0, n)
+            body.append(ToeplitzBlockSpec(t, body_offset + bump, height, width))
+            border.append(ToeplitzBlockSpec(t, ln + j - 1 + bump, 1, width))
+        forms.append(fraction_block_det(fam, [body, border]))
+    return forms[0], forms[1]
 
 
 # ---------------------------------------------------------------------------

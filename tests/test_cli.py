@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import padetau.cli
+import padetau.linalg
 import padetau.tau
+from helpers import family_from_rows
 from padetau.cli import main
 from padetau.errors import ConsistencyError
 from padetau.linalg import ExactMatrix
@@ -163,6 +165,44 @@ class TestTau:
         e_keys = {(n, i, j) for n in range(1, 5) for i in (1, 2) for j in (1, 2)}
         assert set(calls) == d_keys | e_keys
         assert set(calls.values()) == {1}
+
+    def test_only_the_exchange_grids_use_det_exact(self, monkeypatch):
+        """D_n and E^{i,j}_n go to block_toeplitz_det; det_exact only sees
+        the (L-1)x(L-1) exchange grid, once per interior level."""
+        sizes = []
+
+        def counted(m):
+            sizes.append((m.rows, m.cols))
+            return padetau.linalg.det_exact(m)
+
+        monkeypatch.setattr(padetau.tau, "det_exact", counted)
+        rng = random.Random(5)
+        rows = [[1] + [0] * 23] + [[0] + [rng.randint(-5, 5) for _ in range(23)] for _ in range(2)]
+        fam = family_from_rows(rows)
+        table = padetau.tau.tau_quotient_table(fam, 8)
+        assert len(table.exchange) == 7
+        assert sizes == [(2, 2)] * 7
+
+    def test_corrupted_reduced_route_exits_4(self, capsys, tmp_path, monkeypatch):
+        """The reduced form (no f_0 blocks) is a second route: if it drifts
+        by one, D_n and E^{i,j}_n raise ConsistencyError and tau exits 4."""
+        honest = padetau.linalg.block_toeplitz_det
+
+        def corrupted(fam, bands):
+            value = honest(fam, bands)
+            return value if bands[0][0].series_index == 0 else value + 1
+
+        monkeypatch.setattr(padetau.tau, "block_toeplitz_det", corrupted)
+        fam = family_from_rows(arithmetic_file()["series"])
+        with pytest.raises(ConsistencyError, match="full 1 != reduced 2"):
+            padetau.tau.tau_determinant(fam, 1)
+        with pytest.raises(ConsistencyError, match=r"E\^\(1,1\)_1: full 1 != reduced 2"):
+            padetau.tau.bordered_determinant(fam, 1, 1, 1)
+        path = write_json(tmp_path, "fam.json", arithmetic_file())
+        code, out, err = run(capsys, ["tau", path, "--n-max", "2"])
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: D_1: full 1 != reduced 2\n"
 
 
 class TestOde:

@@ -34,8 +34,37 @@ def family_file(size: int, order: int) -> dict:
     return {"v": 1, "L": size, "order": order, "series": rows}
 
 
+def mixed_family_file(size: int, order: int) -> dict:
+    """Like family_file, with denominators 1..9 that differ between members."""
+    rows = [["1"] + ["0"] * (order - 1)]
+    for i in range(1, size):
+        rows.append(
+            ["0"]
+            + [
+                str(Fraction((2 * i * k + k * k + i) % 13 - 6, 1 + (i * i + 2 * k) % 9))
+                for k in range(1, order)
+            ]
+        )
+    return {"v": 1, "L": size, "order": order, "series": rows}
+
+
+# An L = 3 family with D_1 = -4, D_2 = 0 and D_3 = -8: at n = 2 both sides
+# of the exchange identity D_3 D_2 = det(E^{i,j}_2) are zero.
+DEGENERATE_LEVEL = {
+    "v": 1,
+    "L": 3,
+    "order": 12,
+    "series": [
+        ["1"] + ["0"] * 11,
+        [str(c) for c in (0, 2, -2, 1, 0, -2, -2, -1, 2, 1, 0, 0)],
+        [str(c) for c in (0, -2, 0, 1, -1, 1, 2, 2, -2, -1, 2, 2)],
+    ],
+}
+
 INPUTS = {f"fam{size}.json": family_file(size, 2 * size + 2) for size in (2, 3, 4, 5)}
 INPUTS["tau3.json"] = family_file(3, 14)
+INPUTS["tau5.json"] = mixed_family_file(5, 15)
+INPUTS["degenerate3.json"] = DEGENERATE_LEVEL
 
 GOLDEN = {
     "approx fam2.json -n 2 --emit all":
@@ -48,6 +77,10 @@ GOLDEN = {
         "e5c621c2d3d3d762c112bf83ae511edc7449dd3ee35e8200b1e25d8d9c189713",
     "tau tau3.json --n-max 4":
         "dc5da0641dfcb0125248b81643b300aef487b544ff44488146f4a14ca7946864",
+    "tau tau5.json --n-max 3":
+        "075ba700d874e4966544d973ccd46ba84ea10eb30420b346e0a051e948d308fb",
+    "tau degenerate3.json --n-max 4":
+        "3c0a6f61ade08276c7b6a50a4588f389fb13033a8efe8bddec385de24f3c68b4",
     "ode --pii 1/2 0 -1 1 2 --order 20":
         "ff92d7f74c911592945e29f1d1799354ccabecdd2d7699271c54aa23638de484",
     "selfcheck --suite identities --seed 0":

@@ -9,12 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cramer_solve, family_from_rows, laplace_det, rand_frac
+from helpers import (
+    cramer_solve,
+    family_from_rows,
+    fraction_block_det,
+    laplace_det,
+    mixed_denominator_family,
+    rand_frac,
+)
 from padetau import (
     ExactMatrix,
+    InsufficientOrder,
     NotSquare,
     SingularMatrix,
     ToeplitzBlockSpec,
+    block_toeplitz_det,
     det_exact,
     hstack,
     solve_exact,
@@ -86,6 +95,75 @@ def test_toeplitz_block_entries():
         ToeplitzBlockSpec(series_index=-1, offset=0, height=1, width=1)
     with pytest.raises(ValueError):
         ToeplitzBlockSpec(series_index=0, offset=0, height=-1, width=1)
+
+
+def random_bands(rng: random.Random, size: int, order: int):
+    """A square block layout: 1-3 block columns, 1-3 block rows, random
+    offsets that stay inside the trusted window."""
+    columns = [(rng.randrange(size), rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+    total = sum(w for _, w in columns)
+    cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(0, 2)))
+    heights = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+    return [
+        [
+            ToeplitzBlockSpec(t, rng.randint(-3, order - h), h, w)
+            for t, w in columns
+        ]
+        for h in heights
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_block_toeplitz_det_matches_fraction_route(size, seed, with_zero_member):
+    rng = random.Random(seed)
+    zero_member = rng.randint(1, size - 1) if with_zero_member else None
+    fam = mixed_denominator_family(rng, size, 10, zero_member)
+    bands = random_bands(rng, size, 10)
+    assert block_toeplitz_det(fam, bands) == fraction_block_det(fam, bands)
+
+
+def test_block_toeplitz_det_layouts():
+    fam = family_from_rows([[1, 0, 0, 0, 0], [0, "1/2", "1/3", 3, 4]])
+    assert block_toeplitz_det(fam, []) == 1
+    # [[b_1, b_0], [b_2, b_1]] = [[1/2, 0], [1/3, 1/2]]
+    assert block_toeplitz_det(fam, [[ToeplitzBlockSpec(1, 1, 2, 2)]]) == Fraction(1, 4)
+    # f_0 beside f_1: [[1, b_0], [0, b_1]]
+    assert block_toeplitz_det(
+        fam, [[ToeplitzBlockSpec(0, 0, 2, 1), ToeplitzBlockSpec(1, 0, 2, 1)]]
+    ) == Fraction(1, 2)
+
+
+def test_block_toeplitz_det_reads_up_to_the_window():
+    fam = family_from_rows([[1, 0, 0, 0, 0], [0, 1, 2, 3, 4]])
+    last = [[ToeplitzBlockSpec(1, 3, 2, 2)]]  # reads b_4, the last trusted index
+    assert block_toeplitz_det(fam, last) == fraction_block_det(fam, last) == 3 * 3 - 2 * 4
+    past = [[ToeplitzBlockSpec(1, 4, 2, 2)]]  # reads b_5
+    with pytest.raises(InsufficientOrder):
+        toeplitz_block(fam, past[0][0])
+    with pytest.raises(InsufficientOrder):
+        block_toeplitz_det(fam, past)
+    # a block of height 0 reads nothing, whatever its offset
+    empty = [[ToeplitzBlockSpec(1, 9, 0, 1)], [ToeplitzBlockSpec(1, 0, 1, 1)]]
+    assert block_toeplitz_det(fam, empty) == 0
+
+
+def test_block_toeplitz_det_rejects_inconsistent_layouts():
+    fam = family_from_rows([[1, 0, 0, 0, 0], [0, 1, 2, 3, 4], [0, 4, 3, 2, 1]])
+
+    def spec(t, h, w):
+        return ToeplitzBlockSpec(t, 1, h, w)
+
+    with pytest.raises(ValueError, match="series or width"):
+        block_toeplitz_det(fam, [[spec(1, 1, 1)], [spec(2, 1, 1)]])
+    with pytest.raises(ValueError, match="series or width"):
+        block_toeplitz_det(fam, [[spec(1, 1, 1), spec(2, 1, 1)], [spec(1, 1, 2), spec(2, 1, 0)]])
+    with pytest.raises(ValueError, match="height"):
+        block_toeplitz_det(fam, [[spec(1, 1, 1), spec(2, 2, 1)]])
+    with pytest.raises(ValueError, match="one block per block column"):
+        block_toeplitz_det(fam, [[spec(1, 1, 1), spec(2, 1, 1)], [spec(1, 0, 1)]])
+    with pytest.raises(NotSquare):
+        block_toeplitz_det(fam, [[spec(1, 2, 1)]])
 
 
 @settings(max_examples=60)

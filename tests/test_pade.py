@@ -276,6 +276,10 @@ def test_poly_det_and_adjugate_match_cofactor_oracle(size, max_degree, zero, see
     adj = pm.adjugate()
     assert adj.var == "x"
     assert _poly_lists(adj) == cofactor_adjugate(_poly_lists(pm))
+    # det read off the adjugate's evaluations (row-0 expansion)
+    det, adj_too = pm._det_and_adjugate()
+    assert list(det.coeffs) == cofactor_det(_poly_lists(pm))
+    assert adj_too == adj
 
 
 def test_poly_adjugate_degree_bound_with_zero_row():
@@ -289,6 +293,7 @@ def test_poly_det_and_adjugate_small_cases():
     empty = PolyMatrix([])
     assert empty.det() == Polynomial.one()
     assert empty.adjugate() == empty
+    assert empty._det_and_adjugate() == (Polynomial.one(), empty)
     single = PolyMatrix([[P(Fraction(1, 2), 0, 3)]])
     assert single.det() == P(Fraction(1, 2), 0, 3)
     assert single.adjugate() == PolyMatrix([[P(1)]])

@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padetau.tau
-from helpers import assert_identity, double_q_row_1, family_from_rows, laplace_det, rand_family
+from helpers import (
+    assert_identity,
+    double_q_row_1,
+    family_from_rows,
+    fraction_bordered_forms,
+    fraction_tau_forms,
+    laplace_det,
+    mixed_denominator_family,
+    rand_family,
+)
 from padetau import (
     BadNormalization,
     ConsistencyError,
@@ -111,6 +120,39 @@ def test_bordered_determinant_matches_laplace_oracle():
                 assert bordered_determinant(fam, n, i, j) == bordered_oracle(
                     fam, n, i, j
                 )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(0, 4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_integer_route_equals_fraction_route(size, n, seed, with_zero_member):
+    """D_n and E^{i,j}_n equal both forms of the Fraction-matrix route."""
+    rng = random.Random(seed)
+    zero_member = rng.randint(1, size - 1) if with_zero_member else None
+    fam = mixed_denominator_family(rng, size, size * n + 3, zero_member)
+    full, reduced = fraction_tau_forms(fam, n)
+    assert tau_determinant(fam, n) == full == reduced
+    if zero_member is not None and n > 0:
+        assert full == 0
+    for i in range(1, size):
+        for j in (1, 2):
+            full, reduced = fraction_bordered_forms(fam, n, i, j)
+            assert bordered_determinant(fam, n, i, j) == full == reduced
+
+
+def test_integer_route_on_the_geometric_family():
+    fam = geometric_family(12)
+    for n in range(5):
+        full, reduced = fraction_tau_forms(fam, n)
+        assert tau_determinant(fam, n) == full == reduced
+        for j in (1, 2, 3):
+            full, reduced = fraction_bordered_forms(fam, n, 1, j)
+            assert bordered_determinant(fam, n, 1, j) == full == reduced
+    assert tau_determinant(fam, 2) == 0
 
 
 def test_determinant_preconditions():
