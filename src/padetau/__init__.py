@@ -30,10 +30,7 @@ from .linalg import (
     ToeplitzBlockSpec,
     block_toeplitz_det,
     det_exact,
-    hstack,
     solve_exact,
-    toeplitz_block,
-    vstack,
 )
 from .ode import (
     FinitePole,

@@ -47,6 +47,7 @@ from .pade import (
 )
 from .reports import (
     canonical_json,
+    check_series_size,
     family_to_series_file,
     make_check,
     make_report,
@@ -215,6 +216,9 @@ def _cmd_ode(args) -> dict:
     else:
         ode = ode_from_dict(_load_json(args.spec))
         source = {"spec": args.spec}
+    # The output is a series file: refuse one that approx and tau would
+    # reject before spending the expansion on it.
+    check_series_size(ode.size, args.order)
     gauge = gauge_expansion(ode, args.order)
     tdata = gauge.exponents
     fam = SeriesFamily(gauge.psi.first_column())

@@ -1,22 +1,26 @@
 """Exact dense linear algebra over the rationals.
 
-Determinants and solves run fraction-free: elimination is integer Bareiss
-(exact divisions only) and the rational answer is recovered at the end.
-A general matrix has each row scaled to clear its denominators. A block
-Toeplitz matrix (`block_toeplitz_det`) is written as integers directly:
-each family member it reads is scaled once, which scales whole columns,
-so no Fraction matrix is built. One kernel, `bareiss`, does every
-elimination: `det_exact`, `block_toeplitz_det`, `solve_exact` (one or
-several right-hand sides) and, through `int_det`, the polynomial
-determinants in `pade`. No pivoting heuristics beyond the first nonzero
-entry; exactness makes stability a non-issue.
+Determinants and solves run fraction-free: a writer puts the rational
+matrix into integer form, one integer core eliminates it, and the
+rational answer is recovered at the end. There are two writers. The
+row-scaled one (`_clear_denominators`) scales each row of an
+`ExactMatrix` to integers and serves `det_exact` and `solve_exact`. The
+column-scaled one (`_toeplitz_rows`) writes a block Toeplitz matrix
+straight from the family: each member it reads is scaled once, which
+scales whole columns, so no Fraction matrix is built; it serves
+`block_toeplitz_det` and `toeplitz_solve`. Both writers clear
+denominators with `scale_to_integers`. The core is `bareiss`: `int_det`
+for determinants (the polynomial determinants in `pade` included) and
+`_int_solve`, which back-substitutes every right-hand side of one
+elimination. No pivoting heuristics beyond the first nonzero entry;
+exactness makes stability a non-issue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import InsufficientOrder, NotSquare, SingularMatrix
@@ -25,10 +29,7 @@ from .series import SeriesFamily, rational
 __all__ = [
     "ExactMatrix",
     "ToeplitzBlockSpec",
-    "toeplitz_block",
     "block_toeplitz_det",
-    "hstack",
-    "vstack",
     "det_exact",
     "solve_exact",
 ]
@@ -77,22 +78,8 @@ class ExactMatrix:
     def row(self, r: int) -> tuple[Fraction, ...]:
         return self._entries[r]
 
-    def __iter__(self):
-        """The entries in row-major order, as sympy's Matrix iterates."""
-        for row in self._entries:
-            yield from row
-
-    def __len__(self) -> int:
-        return self._rows * self._cols
-
     def is_square(self) -> bool:
         return self._rows == self._cols
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(
-            [[self._entries[r][c] for r in range(self._rows)] for c in range(self._cols)],
-            cols=self._rows,
-        )
 
     def __add__(self, other: ExactMatrix) -> ExactMatrix:
         if not isinstance(other, ExactMatrix):
@@ -149,32 +136,6 @@ class ExactMatrix:
         return f"ExactMatrix({self._rows}x{self._cols})"
 
 
-def hstack(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Concatenate blocks left to right; row counts must agree."""
-    if not blocks:
-        raise ValueError("no blocks")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("row counts differ")
-    return ExactMatrix(
-        [sum((list(b.row(r)) for b in blocks), []) for r in range(rows)],
-        cols=sum(b.cols for b in blocks),
-    )
-
-
-def vstack(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
-    """Concatenate blocks top to bottom; column counts must agree."""
-    if not blocks:
-        raise ValueError("no blocks")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise ValueError("column counts differ")
-    out: list[tuple[Fraction, ...]] = []
-    for b in blocks:
-        out.extend(b.entries)
-    return ExactMatrix(out, cols=cols)
-
-
 @dataclass(frozen=True)
 class ToeplitzBlockSpec:
     """A height x width window onto one family member's coefficients.
@@ -196,35 +157,32 @@ class ToeplitzBlockSpec:
             raise ValueError("block dimensions must be nonnegative")
 
 
-def toeplitz_block(fam: SeriesFamily, spec: ToeplitzBlockSpec) -> ExactMatrix:
-    s = fam.series(spec.series_index)
-    return ExactMatrix(
-        [
-            [s.coefficient(spec.offset + r - c) for c in range(spec.width)]
-            for r in range(spec.height)
-        ],
-        cols=spec.width,
-    )
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) as ints, d the lcm of the denominators.
+
+    d is the least positive scale that makes every value an integer; no
+    values give (1, []).
+    """
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
-def block_toeplitz_det(
+def _toeplitz_rows(
     fam: SeriesFamily, bands: Sequence[Sequence[ToeplitzBlockSpec]]
-) -> Fraction:
-    """Determinant of the block matrix with block (r, c) = toeplitz_block(bands[r][c]).
+) -> tuple[list[list[int]], list[int]]:
+    """The block matrix with block (r, c) read through bands[r][c], as integers.
 
     Blocks in one block row share a height; blocks in one block column
     share a series index t and a width w_t. Any other layout raises
-    ValueError, a non-square matrix NotSquare; no blocks at all is the
-    empty matrix, determinant 1. The matrix is written as integers: f_t is
-    scaled once by d_t, the lcm of the denominators of the coefficients
-    read from it (f_0 = 1 gives d_0 = 1), and entry (r, c) of a block is
-    ints_t[offset + r - c]. Indices below zero read as 0; an index at or
-    past fam.order raises InsufficientOrder, as in toeplitz_block. Scaling
-    a column by d_t > 0 is exact and keeps the sign, so the determinant is
-    int_det / prod_t d_t^{w_t}.
+    ValueError. f_t is scaled once by d_t, the lcm of the denominators of
+    the coefficients read from it (f_0 = 1 gives d_0 = 1), and entry
+    (r, c) of a block is ints_t[offset + r - c]. Indices below zero read
+    as 0; an index at or past fam.order raises InsufficientOrder. Returns
+    the integer rows and the scale of each column: entry (r, c) of the
+    rational matrix is rows[r][c] / scales[c].
     """
     if not bands:
-        return Fraction(1)
+        return [], []
     columns = [(spec.series_index, spec.width) for spec in bands[0]]
     reach: dict[int, tuple[int, int]] = {}  # t -> lowest, highest index read
     for row in bands:
@@ -251,9 +209,8 @@ def block_toeplitz_det(
     # row r of a block then reads the contiguous slice from hi - offset - r.
     views: dict[int, tuple[int, int, list[int]]] = {}
     for t, (lo, hi) in reach.items():
-        coeffs = fam.series(t).coeffs[: max(hi + 1, 0)]
-        d = lcm(*(x.denominator for x in coeffs))
-        ints = [x.numerator * (d // x.denominator) for x in reversed(coeffs)]
+        d, ints = scale_to_integers(fam.series(t).coeffs[: max(hi + 1, 0)])
+        ints.reverse()
         views[t] = (d, hi, ints + [0] * max(0, -lo))
     rows: list[list[int]] = []
     for row in bands:
@@ -265,24 +222,58 @@ def block_toeplitz_det(
                     start = hi - spec.offset - r
                     line += rev[start : start + spec.width]
             rows.append(line)
-    size = sum(w for _, w in columns)
-    if len(rows) != size:
-        raise NotSquare(f"determinant of {len(rows)}x{size} block matrix")
-    scale = 1
-    for t, w in columns:
-        if t in views:
-            scale *= views[t][0] ** w
-    return Fraction(int_det(rows), scale)
+    scales = [views[t][0] if t in views else 1 for t, w in columns for _ in range(w)]
+    return rows, scales
 
 
-def _clear_denominators(m: ExactMatrix) -> tuple[list[list[int]], int]:
+def block_toeplitz_det(
+    fam: SeriesFamily, bands: Sequence[Sequence[ToeplitzBlockSpec]]
+) -> Fraction:
+    """Determinant of the block matrix with block (r, c) read through bands[r][c].
+
+    The layout rules and the integer form are those of _toeplitz_rows; a
+    non-square matrix raises NotSquare, and no blocks at all is the empty
+    matrix, determinant 1. Scaling a column by d_t > 0 is exact and keeps
+    the sign, so the determinant is int_det / prod_t d_t^{w_t}.
+    """
+    rows, scales = _toeplitz_rows(fam, bands)
+    if len(rows) != len(scales):
+        raise NotSquare(f"determinant of {len(rows)}x{len(scales)} block matrix")
+    return Fraction(int_det(rows), prod(scales))
+
+
+def toeplitz_solve(
+    fam: SeriesFamily, bands: Sequence[Sequence[ToeplitzBlockSpec]]
+) -> list[tuple[Fraction, ...]]:
+    """Solve M x = b for several right-hand sides with one elimination.
+
+    bands lays out [M | b_1 ... b_k] as in block_toeplitz_det: M is the
+    square matrix made of the first m columns, m the number of rows, and
+    every later column is a right-hand side. Returns the k solutions in
+    order; raises SingularMatrix when det M = 0. With the column scales s
+    of _toeplitz_rows, z solves the integer system for column m + c, and
+    x = diag(s_0, ..., s_{m-1}) z / s_{m+c}.
+    """
+    rows, scales = _toeplitz_rows(fam, bands)
+    m = len(rows)
+    if len(scales) < m:
+        raise NotSquare(f"solve with {m}x{len(scales)} block matrix")
+    if m == 0:
+        return [() for _ in scales]
+    return [
+        tuple(z * s / scales[c] for z, s in zip(sol, scales))
+        for c, sol in zip(range(m, len(scales)), _int_solve(rows, m))
+    ]
+
+
+def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers; returns (int rows, product of scales)."""
     out: list[list[int]] = []
     scale = 1
-    for row in m.entries:
-        d = lcm(*(x.denominator for x in row))
+    for row in rows:
+        d, ints = scale_to_integers(row)
         scale *= d
-        out.append([x.numerator * (d // x.denominator) for x in row])
+        out.append(ints)
     return out, scale
 
 
@@ -329,47 +320,14 @@ def int_det(a: list[list[int]]) -> int:
     return bareiss(a, n) * a[n - 1][n - 1]
 
 
-def det_exact(m: ExactMatrix) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination. Empty matrix: 1."""
-    if not m.is_square():
-        raise NotSquare(f"determinant of {m.rows}x{m.cols} matrix")
-    a, scale = _clear_denominators(m)
-    return Fraction(int_det(a), scale)
-
-
-def solve_exact(
-    m: ExactMatrix, rhs: Sequence[int | str | Fraction] | ExactMatrix
-) -> tuple[Fraction, ...] | ExactMatrix:
-    """Unique solution of m x = rhs for square nonsingular m.
-
-    rhs is one vector, answered by a tuple, or an ExactMatrix with m.rows
-    rows whose columns are several right-hand sides, answered by the
-    ExactMatrix of solution columns; m is eliminated once for all of them.
-    """
-    if not m.is_square():
-        raise NotSquare(f"solve with {m.rows}x{m.cols} matrix")
-    n = m.rows
-    several = isinstance(rhs, ExactMatrix)
-    if several:
-        b = rhs.entries
-        k = rhs.cols
-    else:
-        b = [(rational(x),) for x in rhs]
-        k = 1
-    if len(b) != n:
-        raise ValueError("rhs length mismatch")
-    if n == 0:
-        return ExactMatrix([], cols=k) if several else ()
-    aug = ExactMatrix([m.row(r) + tuple(b[r]) for r in range(n)], cols=n + k)
-    a, _ = _clear_denominators(aug)
+def _int_solve(a: list[list[int]], n: int) -> list[tuple[Fraction, ...]]:
+    """Solutions for every column past the n-th of the n x (n + k) integer
+    system a, k >= 1, from one elimination; a is overwritten."""
     if bareiss(a, n) == 0:
         raise SingularMatrix("zero pivot column")
     if a[n - 1][n - 1] == 0:
         raise SingularMatrix("zero pivot in back substitution")
-    cols = [_back_substitute(a, n, n + c) for c in range(k)]
-    if several:
-        return ExactMatrix([[col[r] for col in cols] for r in range(n)], cols=k)
-    return cols[0]
+    return [_back_substitute(a, n, c) for c in range(n, len(a[0]))]
 
 
 def _back_substitute(a: list[list[int]], n: int, c: int) -> tuple[Fraction, ...]:
@@ -381,3 +339,27 @@ def _back_substitute(a: list[list[int]], n: int, c: int) -> tuple[Fraction, ...]
             acc -= a[i][j] * x[j]
         x[i] = acc / a[i][i]
     return tuple(x)
+
+
+def det_exact(m: ExactMatrix) -> Fraction:
+    """Determinant by fraction-free (Bareiss) elimination. Empty matrix: 1."""
+    if not m.is_square():
+        raise NotSquare(f"determinant of {m.rows}x{m.cols} matrix")
+    a, scale = _clear_denominators(m.entries)
+    return Fraction(int_det(a), scale)
+
+
+def solve_exact(
+    m: ExactMatrix, rhs: Sequence[int | str | Fraction]
+) -> tuple[Fraction, ...]:
+    """Unique solution of m x = rhs for square nonsingular m."""
+    if not m.is_square():
+        raise NotSquare(f"solve with {m.rows}x{m.cols} matrix")
+    n = m.rows
+    b = [rational(x) for x in rhs]
+    if len(b) != n:
+        raise ValueError("rhs length mismatch")
+    if n == 0:
+        return ()
+    a, _ = _clear_denominators([m.row(r) + (b[r],) for r in range(n)])
+    return _int_solve(a, n)[0]

@@ -56,7 +56,6 @@ __all__ = [
     "expansion_residual",
     "gauge_residual",
     "pii_system",
-    "SpectralType",
     "accessory_count",
     "ode_from_dict",
     "ode_to_dict",
@@ -362,9 +361,6 @@ def pii_system(theta, lam, mu, u, t) -> RationalODE:
         ]
     )
     return RationalODE(size=2, poles=(), infinity=(-a0, -a1, -a2))
-
-
-SpectralType = tuple[tuple[int, ...], ...]
 
 
 def accessory_count(spectral: Sequence[Sequence[int]], L: int, N: int) -> int:

@@ -8,11 +8,11 @@ and remainders
     rho^i = Q^(i)_i f_i + sum_{j != i} w Q^(i)_j f_j
           = w^{Ln} (delta_{i,0} + O(w)).
 
-Each row is the solution of one exact Toeplitz-block linear system; the
-family is degenerate when a system determinant vanishes. The dual table P
-satisfies the product identity Q(w) P(w)^T = w^{nL} I (with the entry
-weights w^{1-delta_ij} folded into both matrices) and is constructed from
-the adjugate of Q.
+All L rows come from one exact elimination of the reduced D_n matrix,
+with one right-hand side per row; the family is degenerate when D_n
+vanishes. The dual table P satisfies the product identity
+Q(w) P(w)^T = w^{nL} I (with the entry weights w^{1-delta_ij} folded
+into both matrices) and is constructed from the adjugate of Q.
 
 Determinants and adjugates of polynomial matrices are exact and take
 polynomial time: each row is scaled to integer coefficients, the matrix is
@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from itertools import islice
+from math import factorial, prod
 from typing import Sequence
 
 from .errors import ConsistencyError, DegenerateFamily, InsufficientOrder, SingularMatrix
-from .linalg import ExactMatrix, ToeplitzBlockSpec, hstack, int_det, solve_exact, toeplitz_block
+from .linalg import ToeplitzBlockSpec, int_det, scale_to_integers, toeplitz_solve
 from .series import Polynomial, SeriesFamily, TruncatedSeries, row_times_column
 
 __all__ = [
@@ -196,9 +197,10 @@ class PolyMatrix:
         rows: list[list[tuple[int, ...]]] = []
         bound = 0
         for row in self._entries:
-            s = lcm(*(c.denominator for e in row for c in e.coeffs))
+            s, ints = scale_to_integers([c for e in row for c in e.coeffs])
             scales.append(s)
-            rows.append([tuple(int(c * s) for c in e.coeffs) for e in row])
+            it = iter(ints)
+            rows.append([tuple(islice(it, len(e.coeffs))) for e in row])
             bound += max(0, max(len(e.coeffs) for e in row) - 1)
         points = [
             [[_horner(e, x) for e in row] for row in rows] for x in range(bound + 1)
@@ -287,11 +289,17 @@ def _row_remainder(fam: SeriesFamily, qrow: Sequence[Polynomial], i: int) -> Tru
 
 
 def hermite_pade(fam: SeriesFamily, n: int) -> HermitePadeResult:
-    """Solve all L type-I rows exactly.
+    """Solve all L type-I rows exactly, from one integer elimination.
 
-    Raises DegenerateFamily (naming the vanishing determinant: "B" is the
-    common square system of order Ln, "B0" the bordered system of order
-    Ln+1 for row 0) and InsufficientOrder when fam.order < Ln + 2.
+    Row i >= 1 solves the order-Ln system of D_n (right-hand side
+    -b^i_1..-b^i_{Ln}), row 0 a bordered system of order Ln + 1 (right-hand
+    side the last unit vector). Because f_0 = 1, the f_0 columns of both
+    hold an identity block over zeros, so each system is [[I, X], [0, M]]
+    with M the reduced D_n matrix of order m = (L-1)n, and det = D_n for
+    both. M is eliminated once with all L lower right-hand sides; each row
+    then reads its f_0 coefficients off the top rows. Raises
+    DegenerateFamily when D_n = 0 and InsufficientOrder when
+    fam.order < Ln + 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -301,42 +309,35 @@ def hermite_pade(fam: SeriesFamily, n: int) -> HermitePadeResult:
         raise InsufficientOrder(
             f"need order >= {ln + 2} for L={L}, n={n}; have {fam.order}"
         )
-
-    bmat = hstack(
-        [toeplitz_block(fam, ToeplitzBlockSpec(j, 0, ln, n)) for j in range(L)]
-    )
-    rows: list[tuple[Polynomial, ...]] = [()] * L
-
-    # Rows 1..L-1 share the matrix B: one elimination, one column each.
-    rhs = ExactMatrix(
-        [[-fam.coefficient(i, k) for i in range(1, L)] for k in range(1, ln + 1)],
-        cols=L - 1,
-    )
+    m = (L - 1) * n
+    # [M | e_m | b^1 | ... | b^{L-1}]: e_m is f_0 read at 1-m..0, and
+    # b^i = b^i_{n+1..Ln}, the lower part of row i's right-hand side negated
+    layout = [ToeplitzBlockSpec(j, n, m, n) for j in range(1, L)]
+    layout.append(ToeplitzBlockSpec(0, 1 - m, m, 1))
+    layout += [ToeplitzBlockSpec(i, n + 1, m, 1) for i in range(1, L)]
     try:
-        sols = solve_exact(bmat, rhs).transpose().entries
+        sols = toeplitz_solve(fam, [layout])
     except SingularMatrix:
         raise DegenerateFamily("type-I system determinant") from None
-    for i in range(1, L):
-        sol = sols[i - 1]
-        qrow = []
-        for j in range(L):
-            chunk = list(sol[j * n : (j + 1) * n])
-            qrow.append(Polynomial([1] + chunk) if j == i else Polynomial(chunk))
-        rows[i] = tuple(qrow)
 
-    bzero = hstack(
-        [toeplitz_block(fam, ToeplitzBlockSpec(0, 0, ln + 1, n + 1))]
-        + [toeplitz_block(fam, ToeplitzBlockSpec(j, -1, ln + 1, n)) for j in range(1, L)]
-    )
-    rhs0 = [Fraction(0)] * ln + [Fraction(1)]
-    try:
-        sol0 = solve_exact(bzero, rhs0)
-    except SingularMatrix:
-        raise DegenerateFamily("extended type-I system determinant") from None
-    qrow0 = [Polynomial(sol0[: n + 1])]
-    for j in range(1, L):
-        qrow0.append(Polynomial(sol0[n + 1 + (j - 1) * n : n + 1 + j * n]))
-    rows[0] = tuple(qrow0)
+    rows: list[tuple[Polynomial, ...]] = []
+    for i, sol in enumerate(sols):
+        y = list(sol) if i == 0 else [-x for x in sol]
+        chunks = [y[(j - 1) * n : j * n] for j in range(1, L)]
+        # In rho^i, coefficient c of chunk j sits at w^{c+1} f_j, and Q^(i)_0
+        # at w^{1-delta_i0}: the top rows make rho^i vanish through w^n.
+        shift = 0 if i == 0 else 1
+        q0 = []
+        for k in range(shift, n + 1):
+            acc = fam.coefficient(i, k) if i else Fraction(0)
+            for j, chunk in enumerate(chunks, start=1):
+                for c in range(k - 1):
+                    acc += chunk[c] * fam.coefficient(j, k - 1 - c)
+            q0.append(-acc)
+        qrow = [Polynomial(q0)]
+        for j, chunk in enumerate(chunks, start=1):
+            qrow.append(Polynomial([1] + chunk) if j == i else Polynomial(chunk))
+        rows.append(tuple(qrow))
 
     remainders = tuple(_row_remainder(fam, rows[i], i) for i in range(L))
     vanishing = tuple(i for i in range(1, L) if remainders[i].is_zero())

@@ -30,6 +30,14 @@ __all__ = [
 MAX_SERIES_COEFFICIENTS = 100_000
 
 
+def check_series_size(size: int, order: int) -> None:
+    """Raise ValueError when L * order exceeds MAX_SERIES_COEFFICIENTS."""
+    if size * order > MAX_SERIES_COEFFICIENTS:
+        raise ValueError(
+            f"L * order = {size * order} exceeds the limit of {MAX_SERIES_COEFFICIENTS} coefficients"
+        )
+
+
 def family_to_series_file(fam: SeriesFamily) -> dict:
     return {
         "v": 1,
@@ -55,10 +63,7 @@ def series_file_to_family(data: dict) -> SeriesFamily:
         raise ValueError("L must be an integer >= 2")
     if type(order) is not int or order < 1:
         raise ValueError("order must be a positive integer")
-    if size * order > MAX_SERIES_COEFFICIENTS:
-        raise ValueError(
-            f"L * order = {size * order} exceeds the limit of {MAX_SERIES_COEFFICIENTS} coefficients"
-        )
+    check_series_size(size, order)
     if not isinstance(series, list) or len(series) != size:
         raise ValueError(f"series must list exactly L = {size} coefficient rows")
     members = []

@@ -365,9 +365,10 @@ def one_step_sign(L: int, n: int) -> int:
 def apply_schlesinger(fam: SeriesFamily, n: int) -> SeriesFamily:
     """One Schlesinger step at the series level: f_i -> rho^i / rho^0.
 
-    That is normalize_family on the column rho^i / w^{Ln}. The returned family's trusted order is fam.order - (Ln + 1). A member
-    that is identically zero on the window (a vanishing remainder) simply
-    stays zero; downstream determinants then report the degeneracy.
+    That is normalize_family on the column rho^i / w^{Ln}. The returned
+    family's trusted order is fam.order - (Ln + 1). A member that is
+    identically zero on the window (a vanishing remainder) simply stays
+    zero; downstream determinants then report the degeneracy.
     """
     hp = hermite_pade(fam, n)
     ln = fam.size * n

@@ -7,9 +7,14 @@ and adjugates, schoolbook convolution and long division for series,
 first-letter Pfaffian expansion, and a from-scratch residual for the
 expansion at irregular infinity.  Oracles work on plain lists of
 `fractions.Fraction` so a library bug cannot hide in both routes.  The
-one exception is the Fraction route for block Toeplitz determinants,
-kept here as the oracle of `linalg.block_toeplitz_det`: it builds the
-matrix entry by entry as `Fraction`s and hands it to `det_exact`.
+exceptions are the two Fraction routes the library no longer takes, kept
+here as oracles.  Each builds its block Toeplitz matrices entry by entry
+from `fam.coefficient`, as `Fraction`s.  The route for block Toeplitz
+determinants hands the matrix to `det_exact` and checks
+`linalg.block_toeplitz_det`.  The route for the type-I table solves the
+full D_n system B (rows i >= 1) and the bordered system B0 (row 0) with
+`solve_exact`, one right-hand side at a time, and checks `hermite_pade`,
+which eliminates only the reduced D_n matrix.
 """
 
 from __future__ import annotations
@@ -19,15 +24,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 from padetau import (
+    DegenerateFamily,
+    ExactMatrix,
     HermitePadeResult,
     Polynomial,
     SeriesFamily,
+    SingularMatrix,
     ToeplitzBlockSpec,
     TruncatedSeries,
     det_exact,
-    hstack,
-    toeplitz_block,
-    vstack,
+    solve_exact,
 )
 
 # ---------------------------------------------------------------------------
@@ -73,15 +79,75 @@ def mixed_denominator_family(
 
 
 # ---------------------------------------------------------------------------
-# the Fraction route for block Toeplitz determinants: every block a
-# Fraction matrix from toeplitz_block, stacked, then det_exact
+# the Fraction routes: every block Toeplitz matrix written entry by entry
+# from fam.coefficient, then det_exact or solve_exact
+
+
+def fraction_block_matrix(fam: SeriesFamily, bands) -> ExactMatrix:
+    """The block matrix read through bands: in the block of spec bands[R][C]
+    on f_t, entry (r, c), 0-based, is b^t_{offset + r - c}."""
+    rows = [
+        [
+            fam.coefficient(spec.series_index, spec.offset + r - c)
+            for spec in band
+            for c in range(spec.width)
+        ]
+        for band in bands
+        for r in range(band[0].height)
+    ]
+    return ExactMatrix(rows, cols=sum(spec.width for spec in bands[0]) if bands else 0)
 
 
 def fraction_block_det(fam: SeriesFamily, bands) -> Fraction:
-    """det of the block matrix with block (r, c) = toeplitz_block(bands[r][c])."""
-    return det_exact(
-        vstack([hstack([toeplitz_block(fam, spec) for spec in row]) for row in bands])
+    """det of the block matrix read through bands, by det_exact."""
+    return det_exact(fraction_block_matrix(fam, bands))
+
+
+def fraction_type_one_systems(fam: SeriesFamily, n: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """B, the full D_n matrix of order Ln shared by rows i >= 1, and B0,
+    the bordered matrix of order Ln + 1 for row 0."""
+    size = fam.size
+    ln = size * n
+    b = fraction_block_matrix(fam, [[ToeplitzBlockSpec(j, 0, ln, n) for j in range(size)]])
+    b0 = fraction_block_matrix(
+        fam,
+        [
+            [ToeplitzBlockSpec(0, 0, ln + 1, n + 1)]
+            + [ToeplitzBlockSpec(j, -1, ln + 1, n) for j in range(1, size)]
+        ],
     )
+    return b, b0
+
+
+def fraction_type_one_rows(fam: SeriesFamily, n: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """The type-I table Q^(i)_j from B and B0, one solve_exact per row.
+
+    Row i >= 1 solves B x = -(b^i_1 .. b^i_{Ln}), row 0 solves B0 x = e_{Ln}.
+    A singular system raises DegenerateFamily naming it.
+    """
+    size = fam.size
+    ln = size * n
+    b, b0 = fraction_type_one_systems(fam, n)
+    rows = []
+    for i in range(1, size):
+        try:
+            sol = solve_exact(b, [-fam.coefficient(i, k) for k in range(1, ln + 1)])
+        except SingularMatrix:
+            raise DegenerateFamily("type-I system determinant") from None
+        chunks = [list(sol[j * n : (j + 1) * n]) for j in range(size)]
+        rows.append(
+            tuple(Polynomial([1] + c) if j == i else Polynomial(c) for j, c in enumerate(chunks))
+        )
+    try:
+        sol = solve_exact(b0, [0] * ln + [1])
+    except SingularMatrix:
+        raise DegenerateFamily("extended type-I system determinant") from None
+    rows.insert(
+        0,
+        (Polynomial(sol[: n + 1]),)
+        + tuple(Polynomial(sol[n + 1 + (j - 1) * n : n + 1 + j * n]) for j in range(1, size)),
+    )
+    return tuple(rows)
 
 
 def fraction_tau_forms(fam: SeriesFamily, n: int) -> tuple[Fraction, Fraction]:

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from itertools import permutations
 
+import padetau
 from padetau.errors import DegenerateFamily
 from padetau.ode import accessory_count, expand_at_infinity, pii_system
 from padetau.pade import (
@@ -388,6 +389,10 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["accessory", "1,1;1,1;1,1;1,1", "-L", "2", "-N", "3"],
     ]
     env = {k: v for k, v in os.environ.items() if k != "SEED"}
+    # The subprocesses must import the package under test, also when only
+    # pytest's own `pythonpath` setting put it on sys.path.
+    src = os.path.dirname(os.path.dirname(padetau.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for argv in commands:
         runs = []
         for _ in range(2):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import shlex
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 
 import padetau.cli
 import padetau.linalg
+import padetau.pade
+import padetau.reports
 import padetau.tau
 from helpers import family_from_rows
 from padetau.cli import main
@@ -105,6 +108,50 @@ class TestApprox:
         assert out == ""
         assert err.startswith("degenerate precondition:")
         assert "type-I system determinant" in err
+
+    def test_type_one_rows_take_one_reduced_elimination(self, capsys, tmp_path, monkeypatch):
+        """approx builds no ExactMatrix and calls neither det_exact nor
+        solve_exact; hermite_pade runs one Bareiss elimination, of the
+        reduced D_n matrix of order (L-1)n."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for mod in [m for name, m in sys.modules.items() if name.startswith("padetau")]:
+            for name in ("det_exact", "solve_exact"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(
+            ExactMatrix, "__init__", counted("ExactMatrix", ExactMatrix.__init__)
+        )
+        size, order, n = 5, 15, 2
+        rng = random.Random(7)
+        series = [["1"] + ["0"] * (order - 1)]
+        for _ in range(size - 1):
+            den = rng.randint(1, 9)
+            series.append(["0"] + [f"{rng.randint(-9, 9)}/{den}" for _ in range(order - 1)])
+        data = {"v": 1, "L": size, "order": order, "series": series}
+        report = run_report(capsys, ["approx", write_json(tmp_path, "fam.json", data), "-n", str(n), "--emit", "all"])
+        assert all(c["pass"] for c in report["checks"])
+        assert calls == Counter()
+
+        orders = []
+        honest = padetau.linalg.bareiss
+
+        def bareiss(a, k):
+            orders.append((len(a), k))
+            return honest(a, k)
+
+        monkeypatch.setattr(padetau.linalg, "bareiss", bareiss)
+        padetau.pade.hermite_pade(padetau.reports.series_file_to_family(data), n)
+        m = (size - 1) * n
+        assert orders == [(m, m)]
+        assert calls == Counter()
 
     def test_insufficient_order_exits_3(self, capsys, tmp_path):
         path = write_json(tmp_path, "fam.json", arithmetic_file(order=3))
@@ -285,6 +332,18 @@ class TestOde:
             code, out, err = run(capsys, shlex.split(line)[1:])
             assert code == 0, (line, err)
             assert all(c["pass"] for c in json.loads(out)["checks"]), line
+
+    def test_order_over_the_series_limit_exits_1(self, capsys, tmp_path, monkeypatch):
+        """L * order = 100 002 > MAX_SERIES_COEFFICIENTS: refused before
+        any expansion, with one line and no --out file."""
+        monkeypatch.setattr(padetau.cli, "gauge_expansion", lambda *a: pytest.fail("expanded"))
+        monkeypatch.chdir(tmp_path)
+        argv = ["ode", "--pii", "1/2", "0", "-1", "1", "2", "--order", "50001", "--out", "o.json"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: L * order = 100002 exceeds the limit of 100000 coefficients\n"
+        assert not (tmp_path / "o.json").exists()
 
     def test_short_order_writes_no_out_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -75,6 +75,8 @@ GOLDEN = {
         "4cc70dc8c090c02199f2d18acf701c137676997f9df5bdd532509f65877fec5a",
     "approx fam5.json -n 2 --emit all":
         "e5c621c2d3d3d762c112bf83ae511edc7449dd3ee35e8200b1e25d8d9c189713",
+    "approx tau5.json -n 2 --emit all":
+        "09d8d651b317cc093398bcec62e7786e038549e1fedada0472ed38ee87fff38c",
     "tau tau3.json --n-max 4":
         "dc5da0641dfcb0125248b81643b300aef487b544ff44488146f4a14ca7946864",
     "tau tau5.json --n-max 3":

@@ -15,7 +15,11 @@ from helpers import (
     conv_window,
     double_q_row_1,
     family_from_rows,
+    fraction_tau_forms,
+    fraction_type_one_rows,
+    fraction_type_one_systems,
     laplace_det,
+    mixed_denominator_family,
     rand_family,
     rand_frac,
 )
@@ -25,12 +29,16 @@ from padetau import (
     Polynomial,
     PolyMatrix,
     TruncatedSeries,
+    det_exact,
     hermite_pade,
     mahler_duality_check,
     q_matrix,
     schlesinger_matrix,
     simultaneous_pade,
+    tau_determinant,
 )
+from padetau.reports import series_file_to_family
+from test_golden import DEGENERATE_LEVEL
 
 
 def poly_eval(p: Polynomial, x: Fraction) -> Fraction:
@@ -103,6 +111,70 @@ def test_degenerate_family_is_named():
     with pytest.raises(DegenerateFamily) as exc:
         hermite_pade(fam, 1)
     assert "type-I system determinant" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# the reduced elimination against the Fraction route of B and B0
+
+
+def small_integer_family(rng: random.Random, size: int, order: int):
+    """Coefficients in {0, 1, -1} and a few rationals: D_n = 0 is common."""
+    rows = [[1] + [0] * (order - 1)]
+    for _ in range(size - 1):
+        rows.append([0] + [rng.choice((0, 0, 1, -1, rand_frac(rng))) for _ in range(order - 1)])
+    return family_from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_type_one_table_matches_fraction_route(size, n, seed, with_zero_member):
+    """Mixed denominators per member, optionally one identically zero member."""
+    rng = random.Random(seed)
+    zero_member = rng.randint(1, size - 1) if with_zero_member else None
+    fam = mixed_denominator_family(rng, size, size * n + rng.randint(2, 4), zero_member)
+    try:
+        expected = fraction_type_one_rows(fam, n)
+    except DegenerateFamily as exc:
+        with pytest.raises(DegenerateFamily) as got:
+            hermite_pade(fam, n)
+        assert str(got.value) == str(exc)
+        return
+    assert hermite_pade(fam, n).q_table == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_degenerate_exactly_when_tau_determinant_vanishes(size, n, seed):
+    fam = small_integer_family(random.Random(seed), size, size * n + 2)
+    if tau_determinant(fam, n) == 0:
+        with pytest.raises(DegenerateFamily, match="type-I system determinant"):
+            hermite_pade(fam, n)
+    else:
+        hermite_pade(fam, n)
+
+
+def test_degenerate_level_raises_only_at_n_2():
+    """D_1 = -4, D_2 = 0, D_3 = -8 for this L = 3 family."""
+    fam = series_file_to_family(DEGENERATE_LEVEL)
+    assert [tau_determinant(fam, n) for n in (1, 2, 3)] == [-4, 0, -8]
+    for n in (1, 3):
+        assert hermite_pade(fam, n).q_table == fraction_type_one_rows(fam, n)
+    with pytest.raises(DegenerateFamily, match=": type-I system determinant = 0$"):
+        hermite_pade(fam, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_bordered_type_one_system_has_determinant_d_n(size, n, seed, small):
+    """det B0 = det B = D_n: expand both along their f_0 columns."""
+    rng = random.Random(seed)
+    if small:
+        fam = small_integer_family(rng, size, size * n + 2)
+    else:
+        fam = mixed_denominator_family(rng, size, size * n + 2)
+    b, b0 = fraction_type_one_systems(fam, n)
+    full, reduced = fraction_tau_forms(fam, n)
+    assert det_exact(b0) == det_exact(b) == full == reduced
 
 
 # ---------------------------------------------------------------------------
