@@ -52,7 +52,6 @@ from .pade import (
     PolyMatrix,
     hermite_pade,
     mahler_duality,
-    mahler_duality_check,
     q_matrix,
     schlesinger_matrix,
     simultaneous_pade,

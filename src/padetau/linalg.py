@@ -56,10 +56,6 @@ class ExactMatrix:
         self._rows = len(rows)
         self._cols = width
 
-    @classmethod
-    def identity(cls, n: int) -> ExactMatrix:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -94,11 +90,6 @@ class ExactMatrix:
             cols=self._cols,
         )
 
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (-other)
-
     def __neg__(self) -> ExactMatrix:
         return self.scale(-1)
 
@@ -106,25 +97,6 @@ class ExactMatrix:
         f = rational(factor)
         return ExactMatrix(
             [[f * x for x in row] for row in self._entries], cols=self._cols
-        )
-
-    def __mul__(self, other: ExactMatrix) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self._cols != other._rows:
-            raise ValueError(f"{self!r} * {other!r}")
-        return ExactMatrix(
-            [
-                [
-                    sum(
-                        (self._entries[r][k] * other._entries[k][c] for k in range(self._cols)),
-                        start=Fraction(0),
-                    )
-                    for c in range(other._cols)
-                ]
-                for r in range(self._rows)
-            ],
-            cols=other._cols,
         )
 
     def __eq__(self, other) -> bool:

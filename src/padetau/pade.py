@@ -12,13 +12,16 @@ All L rows come from one exact elimination of the reduced D_n matrix,
 with one right-hand side per row; the family is degenerate when D_n
 vanishes. The dual table P satisfies the product identity
 Q(w) P(w)^T = w^{nL} I (with the entry weights w^{1-delta_ij} folded
-into both matrices) and is constructed from the adjugate of Q.
+into both matrices) and is constructed from the adjugate of Q;
+`mahler_duality` builds the product and checks it.
 
-Determinants and adjugates of polynomial matrices are exact and take
-polynomial time: each row is scaled to integer coefficients, the matrix is
-evaluated at the integers 0..D (D a degree bound), every value comes from
-the integer Bareiss kernel in `linalg`, and each entry is interpolated
-back. Cofactor expansion survives only as a test oracle.
+Polynomial matrices have one arithmetic engine, integer points: each row
+is scaled to integer coefficients, the matrix is evaluated at the
+integers 0..D (D a degree bound), the integer values are combined
+(Bareiss determinants and cofactors from `linalg` for det and adj,
+row-by-row dot products for Q P^T), and each entry is interpolated back.
+No polynomial is multiplied by a polynomial. Cofactor expansion and
+schoolbook products survive only as test oracles.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import factorial, prod
+from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, DegenerateFamily, InsufficientOrder, SingularMatrix
@@ -41,7 +45,6 @@ __all__ = [
     "simultaneous_pade",
     "MahlerDuality",
     "mahler_duality",
-    "mahler_duality_check",
     "schlesinger_matrix",
 ]
 
@@ -64,20 +67,6 @@ class PolyMatrix:
         self._size = size
         self._var = var
 
-    @classmethod
-    def monomial_identity(cls, size: int, power: int, var: str = "w") -> PolyMatrix:
-        """diag(v^power, ..., v^power)."""
-        mono = Polynomial.one().shift(power)
-        zero = Polynomial.zero()
-        return cls(
-            [[mono if i == j else zero for j in range(size)] for i in range(size)],
-            var=var,
-        )
-
-    @classmethod
-    def identity(cls, size: int, var: str = "w") -> PolyMatrix:
-        return cls.monomial_identity(size, 0, var)
-
     @property
     def size(self) -> int:
         return self._size
@@ -93,36 +82,6 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> Polynomial:
         return self._entries[i][j]
 
-    def transpose(self) -> PolyMatrix:
-        n = self._size
-        return PolyMatrix(
-            [[self._entries[j][i] for j in range(n)] for i in range(n)], var=self._var
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, PolyMatrix):
-            if other._size != self._size or other._var != self._var:
-                raise ValueError("size or variable mismatch")
-            n = self._size
-            return PolyMatrix(
-                [
-                    [
-                        sum(
-                            (self._entries[i][k] * other._entries[k][j] for k in range(n)),
-                            Polynomial.zero(),
-                        )
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ],
-                var=self._var,
-            )
-        if isinstance(other, (int, Fraction)):
-            return PolyMatrix(
-                [[e * other for e in row] for row in self._entries], var=self._var
-            )
-        return NotImplemented
-
     def det(self) -> Polynomial:
         """Exact determinant by evaluation, integer Bareiss and interpolation.
 
@@ -131,13 +90,10 @@ class PolyMatrix:
         det A = det B / prod(s). Polynomial-time, no Fraction arithmetic
         inside the elimination.
         """
-        n = self._size
-        if n == 0:
+        if self._size == 0:
             return Polynomial.one()
         points, scales = self._integer_points()
-        total = prod(scales)
-        values = [int_det(m) for m in points]
-        return Polynomial([Fraction(c, total) for c in _interpolate(values)])
+        return _from_values([int_det(m) for m in points], prod(scales))
 
     def adjugate(self) -> PolyMatrix:
         """adj with self * adj = det * I (classical adjugate)."""
@@ -170,38 +126,34 @@ class PolyMatrix:
                     cof = int_det(minor)
                     values[i][j].append(cof if (i + j) % 2 == 0 else -cof)
             dets.append(sum(m[0][i] * values[i][0][-1] for i in range(n)))
-        det = Polynomial([Fraction(c, total) for c in _interpolate(dets)])
         adj = PolyMatrix(
             [
-                [
-                    Polynomial(
-                        [Fraction(c * scales[j], total) for c in _interpolate(values[i][j])]
-                    )
-                    for j in range(n)
-                ]
+                [_from_values(values[i][j], total // scales[j]) for j in range(n)]
                 for i in range(n)
             ],
             var=self._var,
         )
-        return det, adj
+        return _from_values(dets, total), adj
 
-    def _integer_points(self) -> tuple[list[list[list[int]]], list[int]]:
-        """B = diag(s) A evaluated at x = 0..D, and the row scales s.
+    def _integer_points(
+        self, bound: int | None = None
+    ) -> tuple[list[list[list[int]]], list[int]]:
+        """B = diag(s) A evaluated at x = 0..bound, and the row scales s.
 
         s_r is the lcm of the coefficient denominators in row r, so B has
-        integer coefficients. D is the sum over rows of the largest entry
-        degree, a zero row counting 0: it bounds deg det B and the degree
-        of every cofactor of B, a zero row included.
+        integer coefficients. bound defaults to D, the sum over rows of the
+        largest entry degree, a zero row counting 0: it bounds deg det B
+        and the degree of every cofactor of B, a zero row included.
         """
+        if bound is None:
+            bound = sum(max(0, max(len(e.coeffs) for e in row) - 1) for row in self._entries)
         scales: list[int] = []
         rows: list[list[tuple[int, ...]]] = []
-        bound = 0
         for row in self._entries:
             s, ints = scale_to_integers([c for e in row for c in e.coeffs])
             scales.append(s)
             it = iter(ints)
             rows.append([tuple(islice(it, len(e.coeffs))) for e in row])
-            bound += max(0, max(len(e.coeffs) for e in row) - 1)
         points = [
             [[_horner(e, x) for e in row] for row in rows] for x in range(bound + 1)
         ]
@@ -221,6 +173,17 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def _max_degree(m: PolyMatrix) -> int:
+    """The largest entry degree of m, a zero matrix counting 0."""
+    return max(0, max((len(e.coeffs) for row in m.entries for e in row), default=0) - 1)
+
+
+def _from_values(values: Sequence[int], denom: int) -> Polynomial:
+    """The polynomial p of degree < len(values) with p(x) = values[x] / denom
+    at x = 0, 1, ...; values[x] must be the values of an integer polynomial."""
+    return Polynomial([Fraction(c, denom) for c in _interpolate(values)])
 
 
 def _interpolate(values: Sequence[int]) -> list[int]:
@@ -366,8 +329,8 @@ def simultaneous_pade(result: HermitePadeResult) -> PolyMatrix:
     """The dual table P(w) with Q(w) P(w)^T = w^{nL} I.
 
     det Q, read off the evaluations that build adj Q, must be c * w^{nL}
-    with c != 0; P^T is adj(Q)/c. With the row normalizations in force
-    c = 1, but c is computed, not assumed.
+    with c != 0; P is adj(Q)^T / c, built entry by entry. With the row
+    normalizations in force c = 1, but c is computed, not assumed.
     """
     qm = q_matrix(result)
     ln = result.n * result.size
@@ -379,7 +342,11 @@ def simultaneous_pade(result: HermitePadeResult) -> PolyMatrix:
         raise DegenerateFamily("det(Q)")
     if d != Polynomial.one().shift(ln) * c:
         raise ConsistencyError(f"det Q is not a degree-{ln} monomial: {d!r}")
-    return adj.transpose() * (1 / c)
+    inv = 1 / c
+    size = qm.size
+    return PolyMatrix(
+        [[adj.entry(j, i) * inv for j in range(size)] for i in range(size)], var=qm.var
+    )
 
 
 @dataclass(frozen=True)
@@ -392,15 +359,40 @@ class MahlerDuality:
 
 
 def mahler_duality(qm: PolyMatrix, pm: PolyMatrix, n: int) -> MahlerDuality:
-    """Build Q P^T once and compare it exactly with w^{nL} I."""
-    product = qm * pm.transpose()
-    target = PolyMatrix.monomial_identity(qm.size, n * qm.size, var=qm.var)
+    """Build Q P^T once, by evaluation, and compare it exactly with w^{nL} I.
+
+    Rows of Q and of P are scaled to integers, by s_i and t_j (see
+    PolyMatrix._integer_points), and evaluated at x = 0..D, D the largest
+    entry degree of Q plus that of P, which bounds every entry of the
+    product. At each point s_i t_j (Q P^T)_{ij} is the integer product of
+    row i of Q and row j of P; each entry is interpolated and divided by
+    s_i t_j. No polynomial is multiplied.
+    """
+    size = qm.size
+    if pm.size != size or pm.var != qm.var:
+        raise ValueError("size or variable mismatch")
+    bound = _max_degree(qm) + _max_degree(pm)
+    q_points, s = qm._integer_points(bound)
+    p_points, t = pm._integer_points(bound)
+    product = PolyMatrix(
+        [
+            [
+                _from_values(
+                    [sum(map(mul, qx[i], px[j])) for qx, px in zip(q_points, p_points)],
+                    s[i] * t[j],
+                )
+                for j in range(size)
+            ]
+            for i in range(size)
+        ],
+        var=qm.var,
+    )
+    mono = Polynomial.one().shift(n * size)
+    zero = Polynomial.zero()
+    target = PolyMatrix(
+        [[mono if i == j else zero for j in range(size)] for i in range(size)], var=qm.var
+    )
     return MahlerDuality(product, target, product == target)
-
-
-def mahler_duality_check(qm: PolyMatrix, pm: PolyMatrix, n: int) -> bool:
-    """Exact product identity Q P^T = w^{nL} I."""
-    return mahler_duality(qm, pm, n).holds
 
 
 def schlesinger_matrix(result: HermitePadeResult) -> PolyMatrix:

@@ -3,7 +3,7 @@
 Every dual-route assertion checks library output against a second
 computation that shares no code with the library: Laplace-expansion
 determinants, Cramer solves, cofactor-expansion polynomial determinants
-and adjugates, schoolbook convolution and long division for series,
+and adjugates, schoolbook polynomial-matrix products, schoolbook convolution and long division for series,
 first-letter Pfaffian expansion, and a from-scratch residual for the
 expansion at irregular infinity.  Oracles work on plain lists of
 `fractions.Fraction` so a library bug cannot hide in both routes.  The
@@ -188,7 +188,8 @@ def fraction_bordered_forms(
 def double_q_row_1(res: HermitePadeResult) -> HermitePadeResult:
     """The same type-I result with row 1 of Q scaled by 2, so det R = 2."""
     two = Polynomial([2])
-    return replace(res, q_table=(res.q_table[0], tuple(p * two for p in res.q_table[1])))
+    doubled = tuple(p * two for p in res.q_table[1])
+    return replace(res, q_table=(res.q_table[0], doubled) + res.q_table[2:])
 
 
 def laplace_det(rows: list[list[Fraction]]) -> Fraction:
@@ -250,6 +251,22 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     if not a or not b:
         return []
     return _poly_strip(conv_window(a, b, len(a) + len(b) - 1))
+
+
+def poly_matrix_mul(a: list[list[list[Fraction]]], b: list[list[list[Fraction]]]) -> list[list[list[Fraction]]]:
+    """Schoolbook product of two square matrices of polynomials: entry
+    (i, j) is sum_k a[i][k] * b[k][j], each product by convolution."""
+    m = len(a)
+    out = []
+    for i in range(m):
+        out_row = []
+        for j in range(m):
+            acc: list[Fraction] = []
+            for k in range(m):
+                acc = _poly_add(acc, _poly_mul(a[i][k], b[k][j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
 
 
 def cofactor_det(rows: list[list[list[Fraction]]]) -> list[Fraction]:

@@ -19,7 +19,7 @@ from padetau.errors import DegenerateFamily
 from padetau.ode import accessory_count, expand_at_infinity, pii_system
 from padetau.pade import (
     hermite_pade,
-    mahler_duality_check,
+    mahler_duality,
     q_matrix,
     simultaneous_pade,
 )
@@ -95,7 +95,7 @@ def test_criterion_01_mahler_duality():
                 )
                 if hp is None:
                     break
-                if not mahler_duality_check(q_matrix(hp), simultaneous_pade(hp), n):
+                if not mahler_duality(q_matrix(hp), simultaneous_pade(hp), n).holds:
                     failures.append(f"L={size} n={n} trial {trial}: duality violated")
     elapsed = time.monotonic() - start
     if elapsed > 120:

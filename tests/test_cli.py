@@ -22,6 +22,7 @@ from padetau.cli import main
 from padetau.errors import ConsistencyError
 from padetau.linalg import ExactMatrix
 from padetau.ode import RationalODE, ode_to_dict
+from padetau.series import Polynomial
 
 
 def write_json(tmp_path, name, data) -> str:
@@ -48,6 +49,16 @@ def geometric_file(order=8) -> dict:
         "order": order,
         "series": [["1"] + ["0"] * (order - 1), ["0"] + ["1"] * (order - 1)],
     }
+
+
+def mixed_file(size: int, order: int, seed: int = 7) -> dict:
+    """A random family, one denominator in 1..9 per member."""
+    rng = random.Random(seed)
+    series = [["1"] + ["0"] * (order - 1)]
+    for _ in range(size - 1):
+        den = rng.randint(1, 9)
+        series.append(["0"] + [f"{rng.randint(-9, 9)}/{den}" for _ in range(order - 1)])
+    return {"v": 1, "L": size, "order": order, "series": series}
 
 
 def run(capsys, argv, **env):
@@ -129,13 +140,8 @@ class TestApprox:
         monkeypatch.setattr(
             ExactMatrix, "__init__", counted("ExactMatrix", ExactMatrix.__init__)
         )
-        size, order, n = 5, 15, 2
-        rng = random.Random(7)
-        series = [["1"] + ["0"] * (order - 1)]
-        for _ in range(size - 1):
-            den = rng.randint(1, 9)
-            series.append(["0"] + [f"{rng.randint(-9, 9)}/{den}" for _ in range(order - 1)])
-        data = {"v": 1, "L": size, "order": order, "series": series}
+        size, n = 5, 2
+        data = mixed_file(size, 15)
         report = run_report(capsys, ["approx", write_json(tmp_path, "fam.json", data), "-n", str(n), "--emit", "all"])
         assert all(c["pass"] for c in report["checks"])
         assert calls == Counter()
@@ -152,6 +158,23 @@ class TestApprox:
         m = (size - 1) * n
         assert orders == [(m, m)]
         assert calls == Counter()
+
+    def test_no_polynomial_is_multiplied(self, capsys, tmp_path, monkeypatch):
+        """approx at L = 5, n = 2 multiplies no Polynomial by a Polynomial:
+        det and adj Q, det R and the product Q P^T all go through integer
+        points. Scalar multiples still go through Polynomial.__mul__."""
+        products = Counter()
+        honest = Polynomial.__mul__
+
+        def counted(self, other):
+            products[type(other).__name__] += 1
+            return honest(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        path = write_json(tmp_path, "fam.json", mixed_file(5, 15))
+        report = run_report(capsys, ["approx", path, "-n", "2", "--emit", "all"])
+        assert all(c["pass"] for c in report["checks"])
+        assert products["Polynomial"] == 0
 
     def test_insufficient_order_exits_3(self, capsys, tmp_path):
         path = write_json(tmp_path, "fam.json", arithmetic_file(order=3))

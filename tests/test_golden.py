@@ -64,6 +64,7 @@ DEGENERATE_LEVEL = {
 INPUTS = {f"fam{size}.json": family_file(size, 2 * size + 2) for size in (2, 3, 4, 5)}
 INPUTS["tau3.json"] = family_file(3, 14)
 INPUTS["tau5.json"] = mixed_family_file(5, 15)
+INPUTS["mixed6.json"] = mixed_family_file(6, 14)
 INPUTS["degenerate3.json"] = DEGENERATE_LEVEL
 
 GOLDEN = {
@@ -77,6 +78,8 @@ GOLDEN = {
         "e5c621c2d3d3d762c112bf83ae511edc7449dd3ee35e8200b1e25d8d9c189713",
     "approx tau5.json -n 2 --emit all":
         "09d8d651b317cc093398bcec62e7786e038549e1fedada0472ed38ee87fff38c",
+    "approx mixed6.json -n 2 --emit all":
+        "16482910a0026e28e8476d5023bb3addc0c0fb11d9ceacba734f6c280516b0a9",
     "tau tau3.json --n-max 4":
         "dc5da0641dfcb0125248b81643b300aef487b544ff44488146f4a14ca7946864",
     "tau tau5.json --n-max 3":

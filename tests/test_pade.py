@@ -20,18 +20,20 @@ from helpers import (
     fraction_type_one_systems,
     laplace_det,
     mixed_denominator_family,
+    poly_matrix_mul,
     rand_family,
     rand_frac,
 )
 from padetau import (
     DegenerateFamily,
     InsufficientOrder,
+    MahlerDuality,
     Polynomial,
     PolyMatrix,
     TruncatedSeries,
     det_exact,
     hermite_pade,
-    mahler_duality_check,
+    mahler_duality,
     q_matrix,
     schlesinger_matrix,
     simultaneous_pade,
@@ -69,7 +71,7 @@ def test_monomial_member_table():
     assert qm.entries == ((P(), P(0, 1)), (P(0, -1), P(1)))
     pm = simultaneous_pade(res)
     assert pm.entries == ((P(1), P(0, 1)), (P(0, -1), P()))
-    assert mahler_duality_check(qm, pm, 1)
+    assert mahler_duality(qm, pm, 1).holds
 
     rm = schlesinger_matrix(res)
     assert rm.entries == ((P(), P(1)), (P(-1), P(0, 1)))
@@ -260,7 +262,7 @@ def test_duality_and_gauge_on_randoms(size, n, seed):
     except DegenerateFamily:
         return
     qm = q_matrix(res)
-    assert mahler_duality_check(qm, pm, n)
+    assert mahler_duality(qm, pm, n).holds
     assert schlesinger_matrix(res).det() == Polynomial.one()
 
 
@@ -276,15 +278,6 @@ def test_schlesinger_matrix_keeps_a_broken_normalization():
 
 # ---------------------------------------------------------------------------
 # polynomial matrices
-
-
-def test_poly_matrix_identities():
-    one = PolyMatrix.identity(3)
-    mono = PolyMatrix.monomial_identity(3, 4)
-    assert mono.entry(0, 0) == Polynomial([0, 0, 0, 0, 1])
-    assert mono.entry(0, 1).is_zero()
-    assert one * mono == mono
-    assert mono.transpose() == mono
 
 
 @settings(max_examples=25, deadline=None)
@@ -307,11 +300,11 @@ def test_poly_det_matches_scalar_oracle_at_points(size, seed, x0):
     lhs = poly_eval(pm.det(), x0)
     rhs = laplace_det([[poly_eval(pm.entry(i, j), x0) for j in range(size)] for i in range(size)])
     assert lhs == rhs
-    prod = pm * pm.adjugate()
-    det = pm.det()
+    prod = poly_matrix_mul(_poly_lists(pm), _poly_lists(pm.adjugate()))
+    det = list(pm.det().coeffs)
     for i in range(size):
         for j in range(size):
-            assert prod.entry(i, j) == (det if i == j else Polynomial.zero())
+            assert prod[i][j] == (det if i == j else [])
 
 
 def _poly_lists(pm: PolyMatrix) -> list[list[list[Fraction]]]:
@@ -370,3 +363,90 @@ def test_poly_det_and_adjugate_small_cases():
     assert single.det() == P(Fraction(1, 2), 0, 3)
     assert single.adjugate() == PolyMatrix([[P(1)]])
     assert PolyMatrix([[P()]]).adjugate() == PolyMatrix([[P(1)]])
+
+
+# ---------------------------------------------------------------------------
+# Mahler duality: the product Q P^T by evaluation
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _monomial_identity(size: int, power: int) -> list[list[list[Fraction]]]:
+    mono = [Fraction(0)] * power + [Fraction(1)]
+    return [[mono if i == j else [] for j in range(size)] for i in range(size)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.sampled_from(("none", "a", "b")),
+    st.integers(0, 2**32 - 1),
+)
+def test_mahler_duality_product_matches_schoolbook_oracle(size, a_degree, b_degree, zero_row, seed):
+    """Entry by entry against the convolution route: each row draws its
+    own denominator bound in 1..9, entries are often zero, a whole row of
+    a or b may be zero, degree 0 gives constant-only matrices, and a and b
+    draw their degrees independently."""
+    rng = random.Random(seed)
+
+    def rows(max_degree):
+        out = []
+        for _ in range(size):
+            den = rng.randint(1, 9)
+            row = []
+            for _ in range(size):
+                length = rng.randint(1, max_degree + 1) if rng.random() < 0.7 else 0
+                row.append([rand_frac(rng, 9, den) for _ in range(length)])
+            out.append(row)
+        return out
+
+    a, b = rows(a_degree), rows(b_degree)
+    if zero_row != "none":
+        (a if zero_row == "a" else b)[rng.randrange(size)] = [[] for _ in range(size)]
+    qm = PolyMatrix([[Polynomial(e) for e in row] for row in a])
+    pm = PolyMatrix([[Polynomial(e) for e in row] for row in b])
+    n = rng.randint(0, 2)
+    duality = mahler_duality(qm, pm, n)
+    expected = poly_matrix_mul(_poly_lists(qm), _transpose(_poly_lists(pm)))
+    assert _poly_lists(duality.product) == expected
+    assert duality.product.var == "w"
+    assert _poly_lists(duality.target) == _monomial_identity(size, n * size)
+    assert duality.holds == (expected == _monomial_identity(size, n * size))
+
+
+def test_mahler_duality_reads_false_on_a_broken_normalization():
+    """Row 1 of Q doubled: the product is exact and differs from w^{nL} I
+    in entry (1, 1) alone."""
+    order = 8
+    fam = family_from_rows([[1] + [0] * (order - 1), [0] + list(range(1, order))])
+    res = hermite_pade(fam, 1)
+    duality = mahler_duality(q_matrix(double_q_row_1(res)), simultaneous_pade(res), 1)
+    assert not duality.holds
+    assert duality.product.entries == ((P(0, 0, 1), P()), (P(), P(0, 0, 2)))
+    assert duality.target.entries == ((P(0, 0, 1), P()), (P(), P(0, 0, 1)))
+
+    rng = random.Random(5)
+    for size, n in ((3, 1), (4, 2), (5, 1)):
+        fam = mixed_denominator_family(rng, size, size * n + 2)
+        res = hermite_pade(fam, n)
+        duality = mahler_duality(q_matrix(double_q_row_1(res)), simultaneous_pade(res), n)
+        expected = _monomial_identity(size, n * size)
+        expected[1][1] = [2 * c for c in expected[1][1]]
+        assert not duality.holds
+        assert _poly_lists(duality.product) == expected
+
+
+def test_mahler_duality_small_cases():
+    empty = PolyMatrix([])
+    assert mahler_duality(empty, empty, 3) == MahlerDuality(empty, empty, True)
+    one = PolyMatrix([[P(0, 1)]])
+    assert mahler_duality(one, one, 2).holds
+    assert not mahler_duality(one, one, 1).holds
+    with pytest.raises(ValueError):
+        mahler_duality(one, PolyMatrix([[P(1), P()], [P(), P(1)]]), 1)
+    with pytest.raises(ValueError):
+        mahler_duality(one, PolyMatrix([[P(0, 1)]], var="x"), 2)
