@@ -218,6 +218,8 @@ def _cmd_ode(args) -> dict:
         source = {"spec": args.spec}
     # The output is a series file: refuse one that approx and tau would
     # reject before spending the expansion on it.
+    if ode.size < 2:
+        raise ValueError("a family needs at least two members")
     check_series_size(ode.size, args.order)
     gauge = gauge_expansion(ode, args.order)
     tdata = gauge.exponents

@@ -9,7 +9,7 @@ column-scaled one (`_toeplitz_rows`) writes a block Toeplitz matrix
 straight from the family: each member it reads is scaled once, which
 scales whole columns, so no Fraction matrix is built; it serves
 `block_toeplitz_det` and `toeplitz_solve`. Both writers clear
-denominators with `scale_to_integers`. The core is `bareiss`: `int_det`
+denominators with `series.scale_to_integers`. The core is `bareiss`: `int_det`
 for determinants (the polynomial determinants in `pade` included) and
 `_int_solve`, which back-substitutes every right-hand side of one
 elimination. No pivoting heuristics beyond the first nonzero entry;
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .errors import InsufficientOrder, NotSquare, SingularMatrix
-from .series import SeriesFamily, rational
+from .series import SeriesFamily, rational, scale_to_integers
 
 __all__ = [
     "ExactMatrix",
@@ -127,16 +127,6 @@ class ToeplitzBlockSpec:
             raise ValueError("series index must be nonnegative")
         if self.height < 0 or self.width < 0:
             raise ValueError("block dimensions must be nonnegative")
-
-
-def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d * x for x in values]) as ints, d the lcm of the denominators.
-
-    d is the least positive scale that makes every value an integer; no
-    values give (1, []).
-    """
-    d = lcm(*(x.denominator for x in values))
-    return d, [x.numerator * (d // x.denominator) for x in values]
 
 
 def _toeplitz_rows(

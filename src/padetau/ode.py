@@ -26,16 +26,27 @@ is Psi's column 0 because D cancels, so `gauge_expansion` stops at
 (Psi, S) and `gauge_residual` checks that pair against the equation
 -w^{r+1} Psi_w + Psi S = Atil Psi. `expand_at_infinity` builds Phi from
 the same recursion when the full solution is wanted.
+
+The recursion runs on integers. With q the lcm of every denominator in
+the spec and P the lcm of the numerators of the gaps lam_b - lam_a, it
+carries (qP)^k Psi_k and (qP)^{k-1} q S_k. Every coefficient of
+w^{r-1} A(1/w) at w^jp becomes an integer once scaled by (qP)^{jp-1} q
+(a pole contributes at w^jp only through powers a^m with m < jp, and q
+clears a's denominator), the division by a gap becomes a multiplication,
+and each value becomes a Fraction only when Psi and S are returned.
+`gauge_residual` is the independent route: it multiplies Psi S and
+Atil Psi out as series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import (
+    ConsistencyError,
     InsufficientOrder,
     InvalidPartition,
     NonDiagonalizableLeading,
@@ -43,7 +54,7 @@ from .errors import (
     ZeroParameter,
 )
 from .linalg import ExactMatrix
-from .series import TruncatedSeries, rational
+from .series import TruncatedSeries, rational, scale_to_integers
 from .tau import MatrixSeries
 
 __all__ = [
@@ -169,6 +180,21 @@ def gauge_expansion(ode: RationalODE, order: int) -> GaugeExpansion:
 
     Psi is returned to the requested order, S to order r + order; the
     exponent data is always complete (all of T_{-r}..T_{-1} and T_0).
+
+    The recursion runs on integers. q is the lcm of every denominator in
+    the spec (infinity matrices, pole matrices, pole positions), P the lcm
+    of the numerators p of the gaps lam_b - lam_a = p/s, and Q = qP. The
+    unknowns are psi_k = Q^k Psi_k and sigma_k = Q^{k-1} q S_k (k >= 1),
+    and the balance at step k is scaled by Q^{k-1} q. Every term of it is
+    then a product of integers: Atil_jp Psi_{k-jp} becomes atil_jp
+    psi_{k-jp} with atil_jp = Q^{jp-1} q Atil_jp, Psi_{k-jp} S_jp becomes
+    psi_{k-jp} sigma_jp, and (k-r) Psi_{k-r} becomes (k-r) Q^{r-1} q
+    psi_{k-r}. atil_jp is integral because a pole term of Atil_jp is an
+    entry of a pole matrix times an integer times a^m with m <= jp - 1,
+    and q^{jp} clears both denominators; an infinity term needs only q.
+    The division by lam_b - lam_a becomes a multiplication by the integer
+    (P/p)s, since Q^k / (Q^{k-1} q) = P. Each value becomes a Fraction
+    once, when Psi and S are built.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -185,20 +211,42 @@ def gauge_expansion(ode: RationalODE, order: int) -> GaugeExpansion:
         raise ResonantExponents("leading diagonal entries must be distinct")
 
     kmax = r + order - 1
-    # The nonzero entries (g, c) of each row of every nonzero Atil_jp,
+    q, _ = scale_to_integers(
+        [x for m in ode.infinity for row in m.entries for x in row]
+        + [x for p in ode.poles for m in p.matrices for row in m.entries for x in row]
+        + [p.position for p in ode.poles]
+    )
+    gaps = [[lam[b] - lam[a] for b in range(L)] for a in range(L)]
+    big_p = lcm(*(g.numerator for row in gaps for g in row if g))
+    qp = q * big_p
+    power = [1]  # power[k] = Q^k
+    for _ in range(kmax):
+        power.append(power[-1] * qp)
+    # psi_k[a][b] = balance[a][b] * mult[a][b]: (P/p) s for the gap p/s
+    mult = [[(big_p // g.numerator) * g.denominator if g else 0 for g in row] for row in gaps]
+    # The nonzero entries (g, c) of each row of every nonzero atil_jp,
     # jp >= 1: without poles Atil_jp vanishes for jp >= r.
-    atil_terms = [
-        (jp, [[(g, c) for g, c in enumerate(row) if c] for row in mat.entries])
-        for jp, mat in enumerate(_a_tilde(ode, kmax))
-        if jp >= 1 and any(c for row in mat.entries for c in row)
-    ]
-    zero = Fraction(0)
-    psi: list[list[list[Fraction]]] = [
-        [[Fraction(1) if a == b else zero for b in range(L)] for a in range(L)]
-    ]
-    stil: list[list[Fraction]] = [list(lam)]
+    atil_terms = []
+    for jp, mat in enumerate(_a_tilde(ode, kmax)):
+        if jp == 0 or not any(c for row in mat.entries for c in row):
+            continue
+        scale = power[jp - 1] * q
+        rows = []
+        for row in mat.entries:
+            terms = []
+            for g, c in enumerate(row):
+                if c:
+                    v, rem = divmod(c.numerator * scale, c.denominator)
+                    if rem:
+                        raise ConsistencyError(f"Atil_{jp} is not integral at scale {scale}")
+                    terms.append((g, v))
+            rows.append(terms)
+        atil_terms.append((jp, rows))
+    lift = power[r - 1] * q
+    psi: list[list[list[int]]] = [[[int(a == b) for b in range(L)] for a in range(L)]]
+    sigma: list[list[int]] = [[]]
     for k in range(1, kmax + 1):
-        balance = [[zero] * L for _ in range(L)]
+        balance = [[0] * L for _ in range(L)]
         for jp, rows in atil_terms:
             if jp > k:
                 break
@@ -208,40 +256,38 @@ def gauge_expansion(ode: RationalODE, order: int) -> GaugeExpansion:
                     for b, p in enumerate(ps[g]):
                         if p:
                             row[b] += c * p
-        # Psi_k has zero diagonal for k >= 1, so only a != b terms of the
+        # psi_k has zero diagonal for k >= 1, so only a != b terms of the
         # Psi S convolution and of the (k - r) Psi_{k-r} term survive.
         for jp in range(1, k):
-            ps, sd = psi[k - jp], stil[jp]
+            ps, sd = psi[k - jp], sigma[jp]
             for a in range(L):
                 row, pa = balance[a], ps[a]
                 for b in range(L):
                     if b != a and pa[b]:
                         row[b] -= pa[b] * sd[b]
         if k - r >= 1:
-            ps = psi[k - r]
+            ps, step = psi[k - r], (k - r) * lift
             for a in range(L):
                 row, pa = balance[a], ps[a]
                 for b in range(L):
                     if b != a and pa[b]:
-                        row[b] += (k - r) * pa[b]
-        stil.append([balance[a][a] for a in range(L)])
-        psi.append(
-            [
-                [
-                    balance[a][b] / (lam[b] - lam[a]) if a != b else zero
-                    for b in range(L)
-                ]
-                for a in range(L)
-            ]
-        )
+                        row[b] += step * pa[b]
+        sigma.append([balance[a][a] for a in range(L)])
+        psi.append([[x * m for x, m in zip(row, ms)] for row, ms in zip(balance, mult)])
 
+    stil = [list(lam)] + [
+        [Fraction(x, power[k - 1] * q) for x in sigma[k]] for k in range(1, kmax + 1)
+    ]
     irregular = tuple(
         tuple(-stil[r - j][a] for a in range(L)) for j in range(1, r + 1)
     )
     exponents = tuple(-stil[r][a] for a in range(L))
     psi_series = MatrixSeries(
         [
-            [TruncatedSeries([psi[k][a][b] for k in range(order)], order) for b in range(L)]
+            [
+                TruncatedSeries([Fraction(psi[k][a][b], power[k]) for k in range(order)], order)
+                for b in range(L)
+            ]
             for a in range(L)
         ]
     )

@@ -34,8 +34,14 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, DegenerateFamily, InsufficientOrder, SingularMatrix
-from .linalg import ToeplitzBlockSpec, int_det, scale_to_integers, toeplitz_solve
-from .series import Polynomial, SeriesFamily, TruncatedSeries, row_times_column
+from .linalg import ToeplitzBlockSpec, int_det, toeplitz_solve
+from .series import (
+    Polynomial,
+    SeriesFamily,
+    TruncatedSeries,
+    row_times_column,
+    scale_to_integers,
+)
 
 __all__ = [
     "PolyMatrix",

@@ -5,6 +5,12 @@ A truncated series carries an explicit trust window: coefficient k is
 available iff 0 <= k < order, reading k >= order raises InsufficientOrder
 (a programming error, never a silent zero), and k < 0 is exactly zero.
 Arithmetic propagates the tightest provable trust window.
+
+Products run on integers underneath: `_convolve` scales each operand to
+integers (`scale_to_integers`) and multiplies the two by Kronecker
+substitution, one big-int product for the whole coefficient list, while
+the API still yields `Fraction`s. `invert` is a Newton iteration on the
+same product.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BadNormalization, InsufficientOrder, ZeroConstantTerm
@@ -57,18 +64,53 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+def scale_to_integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d * x for x in values]) as ints, d the lcm of the denominators.
+
+    d is the least positive scale that makes every value an integer; no
+    values give (1, []).
+    """
+    d = lcm(*(x.denominator for x in values))
+    return d, [x.numerator * (d // x.denominator) for x in values]
+
+
 def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
     """Coefficients 0..n-1 of the product of coefficient lists a and b.
 
-    The one truncated product in this module; exact zeros are skipped.
+    The one product in this module, by Kronecker substitution. Each
+    operand is scaled to integers over the lcm of its denominators and
+    packed into one int, coefficient k in the k-th slot of s bits; one
+    int product (Karatsuba inside CPython) then carries every coefficient
+    of the integer product in its slots. A coefficient is a sum of at
+    most min(len a, len b) terms, each at most max|a|·max|b| in size, so
+    it lies strictly inside that bound's bit length; one more bit holds
+    the sign. Unpacking reads each slot as a signed value and borrows one
+    from the slot above when the value is negative.
     """
-    out = [_ZERO] * n
-    for j, x in enumerate(a[:n]):
-        if x == 0:
-            continue
-        for k, y in enumerate(b[: n - j]):
-            if y != 0:
-                out[j + k] += x * y
+    a, b = a[:n], b[:n]
+    da, ia = scale_to_integers(a)
+    db, ib = scale_to_integers(b)
+    bound = max(map(abs, ia), default=0) * max(map(abs, ib), default=0)
+    if not bound:
+        return [_ZERO] * n
+    s = (bound * min(len(ia), len(ib))).bit_length() + 1
+    x = y = 0
+    for c in reversed(ia):
+        x = (x << s) + c
+    for c in reversed(ib):
+        y = (y << s) + c
+    z = x * y
+    mask, half, d = (1 << s) - 1, 1 << (s - 1), da * db
+    m = min(n, len(ia) + len(ib) - 1)
+    out = []
+    for _ in range(m):
+        c = z & mask
+        z >>= s
+        if c >= half:
+            c -= mask + 1
+            z += 1
+        out.append(Fraction(c, d) if c else _ZERO)
+    out.extend([_ZERO] * (n - m))
     return out
 
 
@@ -178,23 +220,24 @@ class TruncatedSeries:
     def invert(self) -> TruncatedSeries:
         """Reciprocal series to the same order.
 
-        Needs a_0 != 0.  Recurrence: b_0 = 1/a_0 and, for m >= 1,
-        b_m = -(1/a_0) * sum_{k=1..m} a_k b_{m-k}.
+        Needs a_0 != 0. Newton iteration from b = 1/a_0: when a·b = 1 +
+        O(w^m), b·(2 - a·b) = b - b·(a·b - 1) is the reciprocal to order
+        2m, so the known window doubles until it covers the order.
         """
         if self._order == 0:
             raise InsufficientOrder("cannot invert a series with empty trust window")
-        a0 = self._coeffs[0]
-        if a0 == 0:
+        a = self._coeffs
+        if a[0] == 0:
             raise ZeroConstantTerm("series has zero constant term")
-        inv0 = 1 / a0
-        out = [inv0]
-        for m in range(1, self._order):
-            acc = _ZERO
-            for k in range(1, m + 1):
-                if self._coeffs[k] != 0:
-                    acc += self._coeffs[k] * out[m - k]
-            out.append(-inv0 * acc)
-        return TruncatedSeries(out, self._order)
+        b = [1 / a[0]]
+        m = 1
+        while m < self._order:
+            m2 = min(2 * m, self._order)
+            # a·b - 1 vanishes below w^m; its coefficients m..m2-1 are error
+            error = _convolve(a, b, m2)[m:]
+            b.extend(-c for c in _convolve(b, error, m2 - m))
+            m = m2
+        return TruncatedSeries(b, self._order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

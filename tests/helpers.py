@@ -7,14 +7,16 @@ and adjugates, schoolbook polynomial-matrix products, schoolbook convolution and
 first-letter Pfaffian expansion, and a from-scratch residual for the
 expansion at irregular infinity.  Oracles work on plain lists of
 `fractions.Fraction` so a library bug cannot hide in both routes.  The
-exceptions are the two Fraction routes the library no longer takes, kept
-here as oracles.  Each builds its block Toeplitz matrices entry by entry
-from `fam.coefficient`, as `Fraction`s.  The route for block Toeplitz
-determinants hands the matrix to `det_exact` and checks
+exceptions are the three Fraction routes the library no longer takes,
+kept here as oracles.  Two build their block Toeplitz matrices entry by
+entry from `fam.coefficient`, as `Fraction`s.  The route for block
+Toeplitz determinants hands the matrix to `det_exact` and checks
 `linalg.block_toeplitz_det`.  The route for the type-I table solves the
 full D_n system B (rows i >= 1) and the bordered system B0 (row 0) with
 `solve_exact`, one right-hand side at a time, and checks `hermite_pade`,
-which eliminates only the reduced D_n matrix.
+which eliminates only the reduced D_n matrix.  The third is the Fraction
+(Psi, S) recursion at infinity, which checks the integer recursion of
+`ode.gauge_expansion`.
 """
 
 from __future__ import annotations
@@ -26,8 +28,13 @@ from fractions import Fraction
 from padetau import (
     DegenerateFamily,
     ExactMatrix,
+    GaugeExpansion,
     HermitePadeResult,
+    InfinityExponentData,
+    MatrixSeries,
+    NonDiagonalizableLeading,
     Polynomial,
+    ResonantExponents,
     SeriesFamily,
     SingularMatrix,
     ToeplitzBlockSpec,
@@ -35,6 +42,7 @@ from padetau import (
     det_exact,
     solve_exact,
 )
+from padetau.ode import _a_tilde
 
 # ---------------------------------------------------------------------------
 # random data
@@ -443,6 +451,102 @@ def ode_residual_oracle(ode, phi, data) -> bool:
                 if acc != 0:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Fraction (Psi, S) recursion at infinity
+#
+# gauge_expansion's recursion as it was before it ran on integers: the same
+# equation, solved order by order in Fractions with a division by
+# lam_b - lam_a, so it checks the integer scales of the library route.
+
+
+def fraction_gauge_expansion(ode, order: int) -> GaugeExpansion:
+    """Solve -w^{r+1} Psi_w + Psi S = Atil Psi order by order.
+
+    Psi is returned to the requested order, S to order r + order; the
+    exponent data is always complete (all of T_{-r}..T_{-1} and T_0).
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    L, r = ode.size, ode.rank_at_infinity
+    leading = ode.infinity[r - 1]
+    for a in range(L):
+        for b in range(L):
+            if a != b and leading.at(a, b) != 0:
+                raise NonDiagonalizableLeading(
+                    "leading matrix at infinity must be diagonal"
+                )
+    lam = [-leading.at(a, a) for a in range(L)]
+    if len(set(lam)) != L:
+        raise ResonantExponents("leading diagonal entries must be distinct")
+
+    kmax = r + order - 1
+    # The nonzero entries (g, c) of each row of every nonzero Atil_jp,
+    # jp >= 1: without poles Atil_jp vanishes for jp >= r.
+    atil_terms = [
+        (jp, [[(g, c) for g, c in enumerate(row) if c] for row in mat.entries])
+        for jp, mat in enumerate(_a_tilde(ode, kmax))
+        if jp >= 1 and any(c for row in mat.entries for c in row)
+    ]
+    zero = Fraction(0)
+    psi: list[list[list[Fraction]]] = [
+        [[Fraction(1) if a == b else zero for b in range(L)] for a in range(L)]
+    ]
+    stil: list[list[Fraction]] = [list(lam)]
+    for k in range(1, kmax + 1):
+        balance = [[zero] * L for _ in range(L)]
+        for jp, rows in atil_terms:
+            if jp > k:
+                break
+            ps = psi[k - jp]
+            for row, terms in zip(balance, rows):
+                for g, c in terms:
+                    for b, p in enumerate(ps[g]):
+                        if p:
+                            row[b] += c * p
+        # Psi_k has zero diagonal for k >= 1, so only a != b terms of the
+        # Psi S convolution and of the (k - r) Psi_{k-r} term survive.
+        for jp in range(1, k):
+            ps, sd = psi[k - jp], stil[jp]
+            for a in range(L):
+                row, pa = balance[a], ps[a]
+                for b in range(L):
+                    if b != a and pa[b]:
+                        row[b] -= pa[b] * sd[b]
+        if k - r >= 1:
+            ps = psi[k - r]
+            for a in range(L):
+                row, pa = balance[a], ps[a]
+                for b in range(L):
+                    if b != a and pa[b]:
+                        row[b] += (k - r) * pa[b]
+        stil.append([balance[a][a] for a in range(L)])
+        psi.append(
+            [
+                [
+                    balance[a][b] / (lam[b] - lam[a]) if a != b else zero
+                    for b in range(L)
+                ]
+                for a in range(L)
+            ]
+        )
+
+    irregular = tuple(
+        tuple(-stil[r - j][a] for a in range(L)) for j in range(1, r + 1)
+    )
+    exponents = tuple(-stil[r][a] for a in range(L))
+    psi_series = MatrixSeries(
+        [
+            [TruncatedSeries([psi[k][a][b] for k in range(order)], order) for b in range(L)]
+            for a in range(L)
+        ]
+    )
+    s = tuple(
+        TruncatedSeries([stil[k][b] for k in range(kmax + 1)], kmax + 1)
+        for b in range(L)
+    )
+    return GaugeExpansion(psi_series, s, InfinityExponentData(irregular, exponents))
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,19 @@ class TestOde:
         assert err == "error: L * order = 100002 exceeds the limit of 100000 coefficients\n"
         assert not (tmp_path / "o.json").exists()
 
+    def test_single_member_system_exits_1_before_expanding(self, capsys, tmp_path, monkeypatch):
+        """L = 1 has no family to write: refused before any expansion,
+        with one line and no --out file."""
+        monkeypatch.setattr(padetau.cli, "gauge_expansion", lambda *a: pytest.fail("expanded"))
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "one.json", {"v": 1, "L": 1, "poles": [], "infinity": [[["1"]]]})
+        argv = ["ode", "--spec", "one.json", "--order", "8000", "--out", "o.json"]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: a family needs at least two members\n"
+        assert not (tmp_path / "o.json").exists()
+
     def test_short_order_writes_no_out_file(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         argv = ["ode", "--pii", "1/2", "0", "-1", "1", "2", "--order", "1", "--out", "o.json"]

@@ -61,11 +61,43 @@ DEGENERATE_LEVEL = {
     ],
 }
 
+# ODE specs with poles at non-integer positions, so the scales of the
+# integer (Psi, S) recursion meet pole, matrix and gap denominators.
+# L = 2, rank 1 at infinity, one rank-1 pole at 1/3.
+ODE_L2_POLE = {
+    "v": 1,
+    "L": 2,
+    "poles": [
+        {"position": "1/3", "matrices": [[["1", "2"], ["0", "-1"]], [["1/2", "0"], ["1", "1"]]]}
+    ],
+    "infinity": [[["-2", "0"], ["0", "3"]]],
+}
+# L = 3, rank 2 at infinity, one rank-1 pole at -2/5.
+ODE_L3_RANK2 = {
+    "v": 1,
+    "L": 3,
+    "poles": [
+        {
+            "position": "-2/5",
+            "matrices": [
+                [["1", "2", "0"], ["0", "-1", "1"], ["1", "0", "2"]],
+                [["1/2", "0", "1"], ["1", "1", "0"], ["0", "2", "1/3"]],
+            ],
+        }
+    ],
+    "infinity": [
+        [["1", "0", "2"], ["0", "3", "1"], ["1", "1", "0"]],
+        [["-2", "0", "0"], ["0", "3", "0"], ["0", "0", "1/2"]],
+    ],
+}
+
 INPUTS = {f"fam{size}.json": family_file(size, 2 * size + 2) for size in (2, 3, 4, 5)}
 INPUTS["tau3.json"] = family_file(3, 14)
 INPUTS["tau5.json"] = mixed_family_file(5, 15)
 INPUTS["mixed6.json"] = mixed_family_file(6, 14)
 INPUTS["degenerate3.json"] = DEGENERATE_LEVEL
+INPUTS["ode2.json"] = ODE_L2_POLE
+INPUTS["ode3.json"] = ODE_L3_RANK2
 
 GOLDEN = {
     "approx fam2.json -n 2 --emit all":
@@ -88,6 +120,10 @@ GOLDEN = {
         "3c0a6f61ade08276c7b6a50a4588f389fb13033a8efe8bddec385de24f3c68b4",
     "ode --pii 1/2 0 -1 1 2 --order 20":
         "ff92d7f74c911592945e29f1d1799354ccabecdd2d7699271c54aa23638de484",
+    "ode --spec ode2.json --order 10":
+        "7bded7b3ace4fc8de60b28fd87ef2bafd01e63093d346b8db52ed744cf557e4a",
+    "ode --spec ode3.json --order 12":
+        "1afaa8bf9731fdff210e7a69b39ed683db779a0fbbe16d0a7689a42356e6eff8",
     "selfcheck --suite identities --seed 0":
         "ffb6416b0c1cd1654452498e61f14344e22377391937a885e30c6b94bb028f0a",
 }

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ode_residual_oracle
+import padetau.ode
+from helpers import fraction_gauge_expansion, ode_residual_oracle
 from padetau import (
+    ConsistencyError,
     ExactMatrix,
     FinitePole,
     GaugeExpansion,
@@ -308,6 +310,83 @@ def test_phi_residuals_agree_on_a_broken_expansion():
     broken = MatrixSeries(entries)
     assert expansion_residual(ode, broken, data) == (False, 6)
     assert not ode_residual_oracle(ode, broken, data)
+
+
+# ---------------------------------------------------------------------------
+# the integer recursion against the Fraction recursion as its oracle
+
+
+@st.composite
+def integer_scale_systems(draw):
+    """L = 2 or 3, rank 1-3 at infinity, 0-2 finite poles of rank 0-2 at
+    non-integer positions, entries with denominators up to 5."""
+    size = draw(st.sampled_from((2, 3)))
+    r = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+
+    def matrix():
+        return M([[draw(entry) for _ in range(size)] for _ in range(size)])
+
+    lead = draw(st.lists(entry, min_size=size, max_size=size, unique=True))
+    leading = M([[lead[a] if a == b else 0 for b in range(size)] for a in range(size)])
+    infinity = tuple(matrix() for _ in range(r - 1)) + (leading,)
+    positions = draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(
+                lambda a: a.denominator > 1
+            ),
+            max_size=2,
+            unique=True,
+        )
+    )
+    poles = tuple(
+        FinitePole(
+            position=a,
+            matrices=tuple(matrix() for _ in range(draw(st.integers(1, 3)))),
+        )
+        for a in positions
+    )
+    return RationalODE(size=size, poles=poles, infinity=infinity)
+
+
+def assert_integer_recursion_matches_oracle(ode, order):
+    got, want = gauge_expansion(ode, order), fraction_gauge_expansion(ode, order)
+    assert got.psi == want.psi
+    assert got.s == want.s
+    assert got.exponents == want.exponents
+
+
+@settings(max_examples=25, deadline=None)
+@given(pii_systems(), st.integers(1, 30))
+def test_integer_recursion_matches_fraction_recursion_on_pii(ode, order):
+    assert_integer_recursion_matches_oracle(ode, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_scale_systems(), st.integers(1, 30))
+def test_integer_recursion_matches_fraction_recursion_with_poles(ode, order):
+    assert_integer_recursion_matches_oracle(ode, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 30])
+def test_integer_recursion_on_the_worked_systems(order):
+    for ode in MUTATION_SYSTEMS:
+        assert_integer_recursion_matches_oracle(ode, order)
+
+
+def test_non_integral_scaled_atil_is_a_consistency_error(monkeypatch):
+    """A term of Atil with a denominator outside the spec is a library bug."""
+    ode = MUTATION_SYSTEMS[1]
+    a_tilde = padetau.ode._a_tilde
+
+    def with_a_seventh(ode, upto):
+        out = a_tilde(ode, upto)
+        out[1] = out[1] + M([[Fraction(1, 7), 0, 0], [0, 0, 0], [0, 0, 0]])
+        return out
+
+    monkeypatch.setattr(padetau.ode, "_a_tilde", with_a_seventh)
+    with pytest.raises(ConsistencyError):
+        gauge_expansion(ode, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from padetau import (
     normalize_family,
     rational,
 )
-from padetau.series import row_times_column
+from padetau.series import _convolve, row_times_column
 
 fractions_st = st.fractions(
     min_value=-9, max_value=9, max_denominator=4
@@ -81,6 +81,39 @@ def test_series_product_matches_convolution_oracle(a, b):
     assert list(s.coeffs) == conv_window(a, b, win)
 
 
+big_fractions = st.builds(
+    Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**8)
+)
+kernel_operands = st.one_of(
+    st.lists(st.one_of(st.just(Fraction(0)), big_fractions, fractions_st), max_size=14),
+    st.lists(st.just(Fraction(0)), max_size=5),
+)
+
+
+@settings(max_examples=300)
+@given(kernel_operands, kernel_operands, st.integers(0, 32))
+def test_kernel_matches_schoolbook_convolution(a, b, n):
+    """Large numerators and denominators, interior zeros, all-zero and
+    empty operands, n = 0 and n past len a + len b - 1."""
+    got = _convolve(a, b, n)
+    assert got == conv_window(a, b, n)
+    assert all(type(c) is Fraction for c in got)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_kernel_at_the_slot_bound(size, signs):
+    """Equal extreme coefficients: the middle product coefficient is
+    exactly max|a| max|b| min(len a, len b), the bound the slot holds."""
+    top = Fraction(2**61 - 1, 3)
+    a = [signs[0] * top] * size
+    b = [signs[1] * top] * (size + 2)
+    n = 2 * size + 1
+    got = _convolve(a, b, n)
+    assert got == conv_window(a, b, n)
+    assert signs[0] * signs[1] * top * top * size in got
+
+
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_series_ring_laws(a, b, c):
     win = min(len(a), len(b), len(c))
@@ -93,8 +126,14 @@ def test_series_ring_laws(a, b, c):
     assert sa + (-sa) == TruncatedSeries.zero(win)
 
 
-@given(coeff_lists)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=50), min_size=1, max_size=70
+    )
+)
 def test_series_inverse_multiplies_back_to_one(a):
+    """Orders past several Newton doublings, powers of 2 or not."""
     if a[0] == 0:
         with pytest.raises(ZeroConstantTerm):
             TruncatedSeries(a).invert()
