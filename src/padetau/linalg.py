@@ -8,12 +8,14 @@ row-scaled one (`_clear_denominators`) scales each row of an
 column-scaled one (`_toeplitz_rows`) writes a block Toeplitz matrix
 straight from the family: each member it reads is scaled once, which
 scales whole columns, so no Fraction matrix is built; it serves
-`block_toeplitz_det` and `toeplitz_solve`. Both writers clear
-denominators with `series.scale_to_integers`. The core is `bareiss`: `int_det`
-for determinants (the polynomial determinants in `pade` included) and
-`_int_solve`, which back-substitutes every right-hand side of one
-elimination. No pivoting heuristics beyond the first nonzero entry;
-exactness makes stability a non-issue.
+`block_toeplitz_det`, `toeplitz_solve` and `toeplitz_minors`. Both
+writers clear denominators with `series.scale_to_integers`. The core is
+`bareiss`: `int_det` for determinants (the polynomial determinants in
+`pade` included), `_int_solve`, which back-substitutes every right-hand
+side of one elimination, and `toeplitz_minors`, which confines row swaps
+to groups of rows and reads the leading and bordered minors at every
+group boundary of one elimination. No pivoting heuristics beyond the
+first nonzero entry; exactness makes stability a non-issue.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InsufficientOrder, NotSquare, SingularMatrix
 from .series import SeriesFamily, rational, scale_to_integers
@@ -228,6 +230,42 @@ def toeplitz_solve(
     ]
 
 
+def toeplitz_minors(
+    fam: SeriesFamily,
+    bands: Sequence[Sequence[ToeplitzBlockSpec]],
+    group: int,
+    borders: Callable[[int], Sequence[tuple[int, int]]],
+) -> tuple[list[Fraction], list[list[Fraction]]]:
+    """Leading and bordered minors at every group boundary, one elimination.
+
+    bands lays out an m x w matrix A as in block_toeplitz_det, with m a
+    multiple of group and w >= m; write k_n = group * n. One bareiss pass
+    with row swaps kept inside groups of `group` rows gives
+    minors[n-1] = det A[:k_n, :k_n] for n = 1, 2, ..., stopping before the
+    first zero one, and, for each n below m / group with a nonzero minor,
+    bordered[n-1][e] = det of A on rows 0..k_n-1, r and columns 0..k_n-1, c
+    for the e-th (r, c) of borders(n), r, c >= k_n. With the column scales
+    s of _toeplitz_rows, an integer minor over columns C is the rational
+    one times prod_{c in C} s_c.
+    """
+    rows, scales = _toeplitz_rows(fam, bands)
+    m = len(rows)
+    minors: list[Fraction] = []
+    bordered: list[list[Fraction]] = []
+
+    def visit(k: int, sign: int) -> None:
+        lead = prod(scales[:k])
+        minors.append(Fraction(sign * rows[k - 1][k - 1], lead))
+        bordered.append(
+            [Fraction(sign * rows[r][c], lead * scales[c]) for r, c in borders(k // group)]
+        )
+
+    sign = bareiss(rows, m, group, visit)
+    if m and sign and rows[m - 1][m - 1]:
+        minors.append(Fraction(sign * rows[m - 1][m - 1], prod(scales[:m])))
+    return minors, bordered
+
+
 def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
     """Scale each row to integers; returns (int rows, product of scales)."""
     out: list[list[int]] = []
@@ -239,7 +277,12 @@ def _clear_denominators(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[i
     return out, scale
 
 
-def bareiss(a: list[list[int]], n: int) -> int:
+def bareiss(
+    a: list[list[int]],
+    n: int,
+    group: int | None = None,
+    visit: Callable[[int, int], None] | None = None,
+) -> int:
     """Fraction-free (Bareiss) elimination of the leading n columns, in place.
 
     a holds n integer rows of equal width >= n; columns beyond n (augmented
@@ -249,13 +292,28 @@ def bareiss(a: list[list[int]], n: int) -> int:
     the returned sign (the parity of the row swaps). Returns 0 when a pivot
     column is zero below the diagonal before the last step: the leading
     block is singular and a is left partially eliminated.
+
+    With a group size g, rows fall into groups of g and a row swap at step
+    k only searches the rest of k's group, so at every group boundary k the
+    first k rows are a permutation of the original first k and the leading
+    k x k minor is sign * a[k-1][k-1]. A failed search then means that
+    the minor at the end of the group is zero. visit(k, sign), which needs
+    a group size, is called at each group start k = g, 2g, ... below n,
+    before step k: every entry a[r][c] with r, c >= k is then sign times
+    the minor on rows 0..k-1, r and columns 0..k-1, c of the original
+    matrix (Sylvester's identity).
     """
     sign = 1
     prev = 1
     width = len(a[0]) if n else 0
-    for k in range(n - 1):
+    for k in range(n):
+        if visit is not None and k and k % group == 0:
+            visit(k, sign)
+        if k == n - 1:
+            break
         if a[k][k] == 0:
-            for r in range(k + 1, n):
+            end = n if group is None else min(n, (k // group + 1) * group)
+            for r in range(k + 1, end):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign

@@ -140,23 +140,48 @@ class InfinityExponentData:
 
 
 def _a_tilde(ode: RationalODE, upto: int) -> list[ExactMatrix]:
-    """Coefficients of w^{r-1} A(1/w) for powers w^0 .. w^upto."""
+    """Coefficients of w^{r-1} A(1/w) for powers w^0 .. w^upto.
+
+    Each power is summed as integer entries over one denominator, and
+    each entry becomes a Fraction once, when its matrix is built; powers
+    no term reaches share one zero matrix.
+    """
     L, r = ode.size, ode.rank_at_infinity
-    zero = ExactMatrix([[0] * L for _ in range(L)], cols=L)
-    out = [zero] * (upto + 1)
+    num: list[list[int] | None] = [None] * (upto + 1)  # row-major entries
+    den = [1] * (upto + 1)
+
+    def add(jp: int, ints: list[int], d: int) -> None:
+        if num[jp] is None:
+            num[jp], den[jp] = ints, d
+            return
+        common = lcm(den[jp], d)
+        a, b = common // den[jp], common // d
+        num[jp] = [x * a + y * b for x, y in zip(num[jp], ints)]
+        den[jp] = common
+
     for jp in range(min(r - 1, upto) + 1):
-        out[jp] = -ode.infinity[r - 1 - jp]
+        d, ints = scale_to_integers([x for row in ode.infinity[r - 1 - jp].entries for x in row])
+        add(jp, [-x for x in ints], d)
     # (x - a)^{-j-1} = w^{j+1} (1 - a w)^{-j-1}; scaled by w^{r-1} the pole
-    # block contributes to powers r + j and beyond.
+    # block contributes C(m+j, j) a^m A_{-j} to power r + j + m.
     for pole in ode.poles:
-        a = pole.position
+        p, q = pole.position.numerator, pole.position.denominator
         for j, mat in enumerate(pole.matrices):
+            d, ints = scale_to_integers([x for row in mat.entries for x in row])
             for jp in range(r + j, upto + 1):
                 m = jp - r - j
-                coeff = comb(m + j, j) * a**m
-                if coeff:
-                    out[jp] = out[jp] + mat.scale(coeff)
-    return out
+                c = comb(m + j, j) * p**m
+                if c:
+                    add(jp, [c * x for x in ints], q**m * d)
+    zero = ExactMatrix([[0] * L for _ in range(L)], cols=L)
+    return [
+        zero
+        if ints is None
+        else ExactMatrix(
+            [[Fraction(x, d) for x in ints[k : k + L]] for k in range(0, L * L, L)], cols=L
+        )
+        for ints, d in zip(num, den)
+    ]
 
 
 @dataclass(frozen=True)

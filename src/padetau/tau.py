@@ -6,10 +6,15 @@ D_{n+1}/D_n. Every determinant here is evaluated along two independent
 routes (a full form containing the f_0 blocks and a reduced form without
 them) and the routes must agree exactly; disagreement raises
 ConsistencyError because it can only mean an implementation bug. Both
-forms are laid out as rows of ToeplitzBlockSpec and handed to
-linalg.block_toeplitz_det, which builds each one as a column-scaled
-integer matrix; only the exchange grid det(E^{i,j}_n), a general matrix,
-goes through det_exact.
+forms are laid out as rows of ToeplitzBlockSpec and written as
+column-scaled integer matrices. tau_determinant and bordered_determinant
+eliminate one D_n or E^{i,j}_n per call (linalg.block_toeplitz_det).
+tau_quotient_table eliminates each form of D_{n_max}'s matrix once, with
+its columns reordered so that every D_n is a leading minor and every
+E^{i,j}_n a bordered one (linalg.toeplitz_minors, see _tau_pass), and
+falls back to the per-level functions from the first zero D_n on. Only
+the exchange grid det(E^{i,j}_n), a general matrix, goes through
+det_exact.
 
 Conventions: D_0 = 1. The bordered determinant at (n, i, j) recovers the
 remainder coefficient rho^i_j of the type-I problem via
@@ -32,7 +37,13 @@ from .errors import (
     DegenerateFamily,
     InsufficientOrder,
 )
-from .linalg import ExactMatrix, ToeplitzBlockSpec, block_toeplitz_det, det_exact
+from .linalg import (
+    ExactMatrix,
+    ToeplitzBlockSpec,
+    block_toeplitz_det,
+    det_exact,
+    toeplitz_minors,
+)
 from .pade import HermitePadeResult, PolyMatrix, hermite_pade, q_matrix, schlesinger_matrix
 from .series import Polynomial, SeriesFamily, TruncatedSeries, normalize_family, row_times_column
 
@@ -175,23 +186,121 @@ class TauQuotientTable:
     exchange: tuple[IdentityReport, ...]
 
 
+def _interleave_sign(L: int, n: int) -> int:
+    """(-1)^{C(L,2) C(n,2)}: the sign of dealing n columns from each of L
+    blocks into n rounds of one column per block."""
+    return -1 if (L * (L - 1) // 2 * (n * (n - 1) // 2)) % 2 else 1
+
+
+def _tau_pass(
+    fam: SeriesFamily, n_max: int, reduced: bool
+) -> tuple[list[Fraction], list[list[list[Fraction]]]]:
+    """D_1, D_2, ... and the E^{i,j}_n grids from one elimination of D_{n_max}.
+
+    Returns (dets, grids): dets[n-1] = D_n up to the first zero D_n, which
+    is left out, and grids[n-1][i-1][j-1] = E^{i,j}_n for each n < n_max
+    with D_n in dets. Write N = n_max, M = L - 1 and g = L (full form) or
+    M (reduced form) for the rows per level.
+
+    Full form: column (t, c), c-major, is b^t_{r-c}, so the leading Ln x Ln
+    block is D_n's matrix with its blocks' columns interleaved. After them
+    come the M "column -1"s b^i_{r+1}: E^{i,j}_n is D_n's matrix with
+    column -1 of block i and row Ln+j-1 added. No E reads row LN-1, whose
+    column -1 would need b^i_{LN}, past what order >= LN trusts; index -1
+    writes a zero there instead.
+
+    Reduced form: reversing the columns of each block (c' = n-1-c) turns
+    D_n's reduced matrix into the block Hankel matrix b^t_{r+c'+1},
+    t = 1..M, which no longer depends on n, so D_N's nests every D_n. E^{i,j}_n
+    adds column (i, c' = n) and row Mn+j-1, both of the next level.
+
+    In both forms D_n is the leading minor of order gn and E^{i,j}_n the
+    bordered minor on its row Ln+j-1 or Mn+j-1 and its column -1 or
+    (i, n). Moving the columns back to D_n's and E^{i,j}_n's own order
+    gives D_n = (-1)^{C(L,2) C(n,2)} minor and
+    E^{i,j}_n = (-1)^{C(L,2) C(n,2) + (L-i) n} bordered minor, in both
+    forms. linalg.toeplitz_minors reads the minors off the elimination
+    with row swaps kept inside each level's rows: with sigma the parity
+    of the swaps so far and d_t the column scale of member t,
+    minor = sigma pivot / prod_t d_t^n and
+    bordered minor = sigma entry / (prod_t d_t^n d_i).
+    """
+    L = fam.size
+    g = L - 1 if reduced else L
+    m = g * n_max
+    if reduced:
+        bands = [[ToeplitzBlockSpec(t, c + 1, m, 1) for c in range(n_max) for t in range(1, L)]]
+
+        def borders(n: int) -> list[tuple[int, int]]:
+            return [(g * n + j - 1, g * n + i - 1) for i in range(1, L) for j in range(1, L)]
+
+    else:
+        body = [(t, -c) for c in range(n_max) for t in range(L)]
+        bands = [
+            [ToeplitzBlockSpec(t, off, m - 1, 1) for t, off in body]
+            + [ToeplitzBlockSpec(i, 1, m - 1, 1) for i in range(1, L)],
+            [ToeplitzBlockSpec(t, off + m - 1, 1, 1) for t, off in body]
+            + [ToeplitzBlockSpec(i, -1, 1, 1) for i in range(1, L)],
+        ]
+
+        def borders(n: int) -> list[tuple[int, int]]:
+            return [(g * n + j - 1, m + i - 1) for i in range(1, L) for j in range(1, L)]
+
+    minors, bordered = toeplitz_minors(fam, bands, g, borders)
+    dets = [_interleave_sign(L, n) * d for n, d in enumerate(minors, start=1)]
+    grids = []
+    for n, flat in enumerate(bordered, start=1):
+        s = _interleave_sign(L, n)
+        signs = [-s if (L - i) * n % 2 else s for i in range(1, L)]
+        rows = [flat[k : k + L - 1] for k in range(0, len(flat), L - 1)]
+        grids.append([[sign * e for e in row] for sign, row in zip(signs, rows)])
+    return dets, grids
+
+
 def tau_quotient_table(fam: SeriesFamily, n_max: int) -> TauQuotientTable:
+    """D_0..D_{n_max}, their quotients and the exchange identity at each level.
+
+    Each form of D_{n_max}'s matrix, full and reduced, is eliminated once
+    (_tau_pass, which gives the column layouts and the signs that turn its
+    pivots and entries into D_n and E^{i,j}_n); both passes read every
+    D_n and E^{i,j}_n they reach, and
+    the two sets must agree exactly, else ConsistencyError names the first
+    D_n or E^{i,j}_n that differs with both values. A pass stops at its
+    first zero D_n; from the first level where either stops, the rest of
+    the table comes from tau_determinant and bordered_determinant, level
+    by level. Requires order >= L n_max.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     L = fam.size
     if fam.order < L * n_max:
         raise InsufficientOrder(f"need order >= {L * n_max}; have {fam.order}")
-    dets = [(n, tau_determinant(fam, n)) for n in range(n_max + 1)]
+    full_dets, full_grids = _tau_pass(fam, n_max, reduced=False)
+    red_dets, red_grids = _tau_pass(fam, n_max, reduced=True)
+    for n, (a, b) in enumerate(zip(full_dets, red_dets), start=1):
+        if a != b:
+            raise ConsistencyError(f"D_{n}: full {a} != reduced {b}")
+    for n, (full, red) in enumerate(zip(full_grids, red_grids), start=1):
+        for i, (row_a, row_b) in enumerate(zip(full, red), start=1):
+            for j, (a, b) in enumerate(zip(row_a, row_b), start=1):
+                if a != b:
+                    raise ConsistencyError(f"E^({i},{j})_{n}: full {a} != reduced {b}")
+    reach = min(len(full_dets), len(red_dets))
+    values = [Fraction(1), *full_dets[:reach]]
+    values += [tau_determinant(fam, n) for n in range(reach + 1, n_max + 1)]
+    grids = full_grids[:reach]
+    grids += [_bordered_grid(fam, n) for n in range(reach + 1, n_max)]
+    dets = list(enumerate(values))
     ratios = []
     degenerate = []
     for n, d in dets:
         if d == 0:
             degenerate.append(n)
         elif n < n_max:
-            ratios.append((n, dets[n + 1][1] / d))
+            ratios.append((n, values[n + 1] / d))
     exchange = []
     for n in range(1, n_max):
-        rep = _exchange_report(dets[n][1], dets[n + 1][1], _bordered_grid(fam, n))
+        rep = _exchange_report(values[n], values[n + 1], grids[n - 1])
         if not rep.holds:
             raise ConsistencyError(
                 f"exchange identity failed at n={n}: {rep.lhs} != {rep.rhs}"

@@ -16,7 +16,8 @@ full D_n system B (rows i >= 1) and the bordered system B0 (row 0) with
 `solve_exact`, one right-hand side at a time, and checks `hermite_pade`,
 which eliminates only the reduced D_n matrix.  The third is the Fraction
 (Psi, S) recursion at infinity, which checks the integer recursion of
-`ode.gauge_expansion`.
+`ode.gauge_expansion`.  `exact_matrix_a_tilde` keeps the `ExactMatrix`
+sum that `ode._a_tilde` used to build, as its oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 from padetau import (
     DegenerateFamily,
@@ -72,14 +74,19 @@ def family_from_rows(rows, order: int | None = None) -> SeriesFamily:
 
 
 def mixed_denominator_family(
-    rng: random.Random, size: int, order: int, zero_member: int | None = None
+    rng: random.Random,
+    size: int,
+    order: int,
+    zero_member: int | None = None,
+    span: int = 9,
 ) -> SeriesFamily:
     """Like rand_family, but member i draws denominators up to its own
-    bound in 1..9; member zero_member, if given, is identically zero."""
+    bound in 1..9; member zero_member, if given, is identically zero. A
+    small span makes zero determinants common."""
     members = [TruncatedSeries.constant(1, order)]
     for i in range(1, size):
         den = rng.randint(1, 9)
-        coeffs = [Fraction(0)] + [rand_frac(rng, 9, den) for _ in range(order - 1)]
+        coeffs = [Fraction(0)] + [rand_frac(rng, span, den) for _ in range(order - 1)]
         if i == zero_member:
             coeffs = [Fraction(0)] * order
         members.append(TruncatedSeries(coeffs, order))
@@ -547,6 +554,29 @@ def fraction_gauge_expansion(ode, order: int) -> GaugeExpansion:
         for b in range(L)
     )
     return GaugeExpansion(psi_series, s, InfinityExponentData(irregular, exponents))
+
+
+# ---------------------------------------------------------------------------
+# w^{r-1} A(1/w) summed one ExactMatrix term at a time: the oracle of
+# ode._a_tilde, which sums on integers
+
+
+def exact_matrix_a_tilde(ode, upto: int) -> list[ExactMatrix]:
+    """w^{r-1} A(1/w) to power upto, summed one ExactMatrix term at a time."""
+    L, r = ode.size, ode.rank_at_infinity
+    zero = ExactMatrix([[0] * L for _ in range(L)], cols=L)
+    out = [zero] * (upto + 1)
+    for jp in range(min(r - 1, upto) + 1):
+        out[jp] = -ode.infinity[r - 1 - jp]
+    for pole in ode.poles:
+        a = pole.position
+        for j, mat in enumerate(pole.matrices):
+            for jp in range(r + j, upto + 1):
+                m = jp - r - j
+                coeff = comb(m + j, j) * a**m
+                if coeff:
+                    out[jp] = out[jp] + mat.scale(coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------

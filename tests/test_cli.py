@@ -23,6 +23,7 @@ from padetau.errors import ConsistencyError
 from padetau.linalg import ExactMatrix
 from padetau.ode import RationalODE, ode_to_dict
 from padetau.series import Polynomial
+from test_golden import DEGENERATE_LEVEL
 
 
 def write_json(tmp_path, name, data) -> str:
@@ -212,6 +213,10 @@ class TestTau:
         assert "need order >= 18" in err
 
     def test_each_determinant_is_computed_once(self, capsys, tmp_path, monkeypatch):
+        """A nondegenerate table is two eliminations, one per form of
+        D_{n_max}'s matrix, plus det_exact on each exchange grid; no D_n or
+        E^{i,j}_n is computed level by level. On DEGENERATE_LEVEL (D_2 = 0)
+        the per-level route starts at n = 2 and computes each value once."""
         calls = Counter()
 
         def counted(fn):
@@ -223,6 +228,14 @@ class TestTau:
 
         for name in ("tau_determinant", "bordered_determinant"):
             monkeypatch.setattr(padetau.tau, name, counted(getattr(padetau.tau, name)))
+        eliminations = []
+        honest = padetau.linalg.bareiss
+
+        def bareiss(a, n, group=None, visit=None):
+            eliminations.append((len(a), n, group))
+            return honest(a, n, group, visit)
+
+        monkeypatch.setattr(padetau.linalg, "bareiss", bareiss)
         rng = random.Random(3)
         order = 15
         series = [["1"] + ["0"] * (order - 1)]
@@ -231,8 +244,17 @@ class TestTau:
         report = run_report(capsys, ["tau", path, "--n-max", "5"])
         assert len(report["checks"]) == 4
         assert all(c["pass"] for c in report["checks"])
-        d_keys = {(n,) for n in range(6)}
-        e_keys = {(n, i, j) for n in range(1, 5) for i in (1, 2) for j in (1, 2)}
+        assert report["results"]["degenerate"] == []
+        assert calls == Counter()
+        # full form 15 x 15 in groups of 3, reduced 10 x 10 in groups of 2,
+        # then the four 2 x 2 exchange grids
+        assert eliminations == [(15, 15, 3), (10, 10, 2)] + [(2, 2, None)] * 4
+
+        path = write_json(tmp_path, "degenerate.json", DEGENERATE_LEVEL)
+        report = run_report(capsys, ["tau", path, "--n-max", "4"])
+        assert report["results"]["degenerate"] == [2]
+        d_keys = {(n,) for n in (2, 3, 4)}
+        e_keys = {(n, i, j) for n in (2, 3) for i in (1, 2) for j in (1, 2)}
         assert set(calls) == d_keys | e_keys
         assert set(calls.values()) == {1}
 
@@ -255,7 +277,8 @@ class TestTau:
 
     def test_corrupted_reduced_route_exits_4(self, capsys, tmp_path, monkeypatch):
         """The reduced form (no f_0 blocks) is a second route: if it drifts
-        by one, D_n and E^{i,j}_n raise ConsistencyError and tau exits 4."""
+        by one, D_n and E^{i,j}_n raise ConsistencyError, level by level and
+        in the table's reduced pass, and tau exits 4."""
         honest = padetau.linalg.block_toeplitz_det
 
         def corrupted(fam, bands):
@@ -268,6 +291,16 @@ class TestTau:
             padetau.tau.tau_determinant(fam, 1)
         with pytest.raises(ConsistencyError, match=r"E\^\(1,1\)_1: full 1 != reduced 2"):
             padetau.tau.bordered_determinant(fam, 1, 1, 1)
+        honest_pass = padetau.tau._tau_pass
+
+        def corrupted_pass(fam, n_max, reduced):
+            dets, grids = honest_pass(fam, n_max, reduced)
+            if reduced:
+                dets = [d + 1 for d in dets]
+                grids = [[[e + 1 for e in row] for row in grid] for grid in grids]
+            return dets, grids
+
+        monkeypatch.setattr(padetau.tau, "_tau_pass", corrupted_pass)
         path = write_json(tmp_path, "fam.json", arithmetic_file())
         code, out, err = run(capsys, ["tau", path, "--n-max", "2"])
         assert code == 4

@@ -61,6 +61,31 @@ DEGENERATE_LEVEL = {
     ],
 }
 
+# An L = 3 family with D_1 = 0: the whole table comes from the per-level route.
+SINGULAR_FIRST_LEVEL = {
+    "v": 1,
+    "L": 3,
+    "order": 12,
+    "series": [
+        ["1"] + ["0"] * 11,
+        [str(c) for c in (0, 1, 2, -1, 3, 0, 2, -2, 1, 1, -3, 2)],
+        [str(c) for c in (0, 2, 4, 1, -1, 2, 0, 3, -2, 1, 2, -1)],
+    ],
+}
+
+# An L = 3 family with b^1_1 = 0 and D_1 = -1/2: eliminating D_4's matrix
+# swaps rows inside the first group, in the full and in the reduced form.
+SWAP_IN_GROUP = {
+    "v": 1,
+    "L": 3,
+    "order": 12,
+    "series": [
+        ["1"] + ["0"] * 11,
+        ["0", "0", "1/2", "-1", "2", "1/3", "0", "-2", "1", "3/2", "-1", "2"],
+        ["0", "1", "-1/3", "2", "0", "-1", "1/2", "2", "-3", "1", "0", "1/5"],
+    ],
+}
+
 # ODE specs with poles at non-integer positions, so the scales of the
 # integer (Psi, S) recursion meet pole, matrix and gap denominators.
 # L = 2, rank 1 at infinity, one rank-1 pole at 1/3.
@@ -96,6 +121,9 @@ INPUTS["tau3.json"] = family_file(3, 14)
 INPUTS["tau5.json"] = mixed_family_file(5, 15)
 INPUTS["mixed6.json"] = mixed_family_file(6, 14)
 INPUTS["degenerate3.json"] = DEGENERATE_LEVEL
+INPUTS["singular3.json"] = SINGULAR_FIRST_LEVEL
+INPUTS["swap3.json"] = SWAP_IN_GROUP
+INPUTS["deep2.json"] = mixed_family_file(2, 20)
 INPUTS["ode2.json"] = ODE_L2_POLE
 INPUTS["ode3.json"] = ODE_L3_RANK2
 
@@ -118,6 +146,12 @@ GOLDEN = {
         "075ba700d874e4966544d973ccd46ba84ea10eb30420b346e0a051e948d308fb",
     "tau degenerate3.json --n-max 4":
         "3c0a6f61ade08276c7b6a50a4588f389fb13033a8efe8bddec385de24f3c68b4",
+    "tau singular3.json --n-max 4":
+        "093892cb9b5db501daa03de7034d36c0232e09924a12abcf04afc01cf91b3b44",
+    "tau swap3.json --n-max 4":
+        "55cd58a93e0fb2df7f3e1846c3bb67a22043fe459150b9c7c47fe631b15dbfb6",
+    "tau deep2.json --n-max 10":
+        "91a4f3da832118887228db62d3fed961992c37452edb278174862ee2590cd9b8",
     "ode --pii 1/2 0 -1 1 2 --order 20":
         "ff92d7f74c911592945e29f1d1799354ccabecdd2d7699271c54aa23638de484",
     "ode --spec ode2.json --order 10":

@@ -28,7 +28,7 @@ from padetau import (
     det_exact,
     solve_exact,
 )
-from padetau.linalg import _toeplitz_rows, int_det, toeplitz_solve
+from padetau.linalg import _toeplitz_rows, bareiss, int_det, toeplitz_minors, toeplitz_solve
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -242,3 +242,59 @@ def test_int_det_matches_laplace_oracle(rows):
         [[Fraction(x) for x in row] for row in ints]
     )
     assert int_det([]) == 1
+
+
+# ---------------------------------------------------------------------------
+# grouped elimination: minors at group boundaries
+
+
+def test_bareiss_group_window():
+    """A swap only searches the rest of the current group of rows."""
+    a = [[0, 1], [1, 0]]
+    assert bareiss([row[:] for row in a], 2) == -1
+    assert bareiss([row[:] for row in a], 2, group=1) == 0
+    b = [[0, 1, 5], [2, 3, 7], [1, 1, 2]]
+    seen = []
+    sign = bareiss(b, 3, group=2, visit=lambda k, s: seen.append((k, s, b[k][k])))
+    # row 0 swaps with row 1, inside the first group; at the group start
+    # k = 2, entry (2, 2) is sign * det b = -2
+    assert sign == -1
+    assert seen == [(2, -1, 2)]
+
+
+def _minor(a, rows, cols):
+    return laplace_det([[a[r][c] for c in cols] for r in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (1, 4), (2, 1), (2, 3), (3, 1), (3, 2)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1, 9)),
+)
+def test_toeplitz_minors_match_laplace_oracle(shape, seed, span):
+    group, levels = shape
+    m = group * levels
+    rng = random.Random(seed)
+    fam = mixed_denominator_family(rng, 3, m + 3, span=span)
+    bands = [[ToeplitzBlockSpec(rng.randint(0, 2), rng.randint(-2, 3), m, 1) for _ in range(m + 1)]]
+    a = fraction_block_matrix(fam, bands).entries
+
+    def borders(n):
+        k = group * n
+        return [(r, c) for r in range(k, m) for c in range(k, m + 1)]
+
+    minors, bordered = toeplitz_minors(fam, bands, group, borders)
+    want = []
+    for n in range(1, levels + 1):
+        d = _minor(a, range(group * n), range(group * n))
+        if d == 0:
+            break
+        want.append(d)
+    assert minors == want
+    assert len(bordered) == min(len(want), levels - 1)
+    for n, values in enumerate(bordered, start=1):
+        k = group * n
+        assert values == [
+            _minor(a, [*range(k), r], [*range(k), c]) for r, c in borders(n)
+        ]

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padetau.ode
-from helpers import fraction_gauge_expansion, ode_residual_oracle
+from helpers import exact_matrix_a_tilde, fraction_gauge_expansion, ode_residual_oracle
 from padetau import (
     ConsistencyError,
     ExactMatrix,
@@ -366,6 +366,12 @@ def test_integer_recursion_matches_fraction_recursion_on_pii(ode, order):
 @given(integer_scale_systems(), st.integers(1, 30))
 def test_integer_recursion_matches_fraction_recursion_with_poles(ode, order):
     assert_integer_recursion_matches_oracle(ode, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(integer_scale_systems(), finite_pole_systems()), st.integers(0, 12))
+def test_a_tilde_matches_the_matrix_sum_construction(ode, upto):
+    assert padetau.ode._a_tilde(ode, upto) == exact_matrix_a_tilde(ode, upto)
 
 
 @pytest.mark.parametrize("order", [1, 2, 7, 30])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padetau.linalg
 import padetau.tau
 from helpers import (
     assert_identity,
@@ -40,6 +41,8 @@ from padetau import (
     tau_determinant,
     tau_quotient_table,
 )
+from padetau.reports import series_file_to_family
+from test_golden import DEGENERATE_LEVEL, SWAP_IN_GROUP
 
 
 def arithmetic_family(order: int, size: int = 2) -> SeriesFamily:
@@ -254,6 +257,139 @@ def test_quotient_table_geometric_degeneracy_is_data():
 def test_quotient_table_order_precondition():
     with pytest.raises(InsufficientOrder):
         tau_quotient_table(arithmetic_family(5), 3)
+
+
+# ---------------------------------------------------------------------------
+# the table from one elimination per form, against the per-level route
+
+
+def per_level_table(fam: SeriesFamily, n_max: int):
+    """dets, ratios, degenerate and exchange, one determinant at a time."""
+    dets = tuple((n, tau_determinant(fam, n)) for n in range(n_max + 1))
+    ratios = tuple((n, dets[n + 1][1] / d) for n, d in dets[:-1] if d != 0)
+    degenerate = tuple(n for n, d in dets if d == 0)
+    exchange = tuple(sylvester_toeplitz_check(fam, n) for n in range(1, n_max))
+    return dets, ratios, degenerate, exchange
+
+
+def assert_table_matches_per_level_route(fam: SeriesFamily, n_max: int) -> None:
+    table = tau_quotient_table(fam, n_max)
+    got = (table.dets, table.ratios, table.degenerate, table.exchange)
+    assert got == per_level_table(fam, n_max)
+    # Each pass, read alone, gives every value it reaches exactly.
+    for reduced in (False, True):
+        dets, grids = padetau.tau._tau_pass(fam, n_max, reduced)
+        reach = len(dets)
+        assert dets == [d for _, d in table.dets[1 : reach + 1]]
+        assert reach == n_max or table.dets[reach + 1][1] == 0
+        assert len(grids) == min(reach, n_max - 1)
+        for n, grid in enumerate(grids, start=1):
+            assert grid == [
+                [bordered_determinant(fam, n, i, j) for j in range(1, fam.size)]
+                for i in range(1, fam.size)
+            ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 5),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1, 2, 9)),
+    st.booleans(),
+)
+def test_table_equals_per_level_route(size, n_max, seed, span, with_zero_member):
+    """Spans of 1 and 2 make zero D_n common, at any level."""
+    rng = random.Random(seed)
+    zero_member = rng.randint(1, size - 1) if with_zero_member else None
+    fam = mixed_denominator_family(rng, size, size * n_max + rng.randint(0, 1), zero_member, span)
+    assert_table_matches_per_level_route(fam, n_max)
+
+
+# (size, n_max, seed, first zero D_n) for mixed_denominator_family at span 1
+ZERO_LEVELS = [
+    (2, 4, 0, 1),
+    (2, 4, 14, 2),
+    (2, 4, 18, 4),
+    (3, 4, 0, 1),
+    (3, 4, 1, 2),
+    (3, 4, 1579, 4),
+    (4, 4, 61, 2),
+    (5, 3, 0, 1),
+    (5, 3, 1050, 2),
+    (5, 3, 1076, 3),
+]
+
+
+@pytest.mark.parametrize("size, n_max, seed, first_zero", ZERO_LEVELS)
+def test_table_from_a_zero_level_on(size, n_max, seed, first_zero):
+    fam = mixed_denominator_family(random.Random(seed), size, size * n_max, span=1)
+    assert_table_matches_per_level_route(fam, n_max)
+    assert tau_quotient_table(fam, n_max).degenerate[0] == first_zero
+
+
+def test_table_at_the_degenerate_level():
+    fam = series_file_to_family(DEGENERATE_LEVEL)
+    assert_table_matches_per_level_route(fam, 4)
+    assert tau_quotient_table(fam, 4).degenerate == (2,)
+
+
+def test_row_swap_inside_a_group(monkeypatch):
+    """b^1_1 = 0 with D_1 != 0: both forms swap rows inside the first group,
+    so the sign at the first group boundary is -1 in each pass."""
+    fam = series_file_to_family(SWAP_IN_GROUP)
+    assert fam.coefficient(1, 1) == 0 and tau_determinant(fam, 1) != 0
+    signs = []
+    honest = padetau.linalg.bareiss
+
+    def spy(a, n, group=None, visit=None):
+        def recorded(k, sign):
+            signs.append((group, k, sign))
+            visit(k, sign)
+
+        return honest(a, n, group, recorded if visit else None)
+
+    monkeypatch.setattr(padetau.linalg, "bareiss", spy)
+    assert_table_matches_per_level_route(fam, 4)
+    assert (3, 3, -1) in signs and (2, 2, -1) in signs
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5])
+def test_table_for_two_members(n_max):
+    """L = 2: the exchange grid is 1 x 1 and the reduced form swaps nothing."""
+    fam = rand_family(random.Random(n_max), 2, 2 * n_max)
+    assert_table_matches_per_level_route(fam, n_max)
+
+
+@pytest.mark.parametrize("size, n_max", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 2)])
+def test_table_at_the_order_edge(size, n_max):
+    """order = L n_max is enough; the full form's last column -1 entry,
+    which would read b^i_{L n_max}, is never needed."""
+    rng = random.Random(size * 10 + n_max)
+    fam = mixed_denominator_family(rng, size, size * n_max)
+    assert_table_matches_per_level_route(fam, n_max)
+    short = fam.truncate(size * n_max - 1)
+    with pytest.raises(InsufficientOrder) as exc:
+        tau_quotient_table(short, n_max)
+    assert str(exc.value) == f"need order >= {size * n_max}; have {size * n_max - 1}"
+
+
+def test_pass_disagreement_names_the_value(monkeypatch):
+    """A reduced-pass E that drifts names E^(i,j)_n with both values."""
+    honest = padetau.tau._tau_pass
+
+    def drifted(fam, n_max, reduced):
+        dets, grids = honest(fam, n_max, reduced)
+        if reduced:
+            grids[1][0][1] += 1
+        return dets, grids
+
+    monkeypatch.setattr(padetau.tau, "_tau_pass", drifted)
+    fam = mixed_denominator_family(random.Random(4), 3, 12)
+    want = bordered_determinant(fam, 2, 1, 2)
+    with pytest.raises(ConsistencyError) as exc:
+        tau_quotient_table(fam, 4)
+    assert str(exc.value) == f"E^(1,2)_2: full {want} != reduced {want + 1}"
 
 
 # ---------------------------------------------------------------------------
