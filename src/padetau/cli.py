@@ -10,6 +10,7 @@ padetau rather than a problem with the input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -78,7 +79,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use and then reused:
+    parse_args keeps no state between calls."""
     parser = _Parser(
         prog="padetau",
         description="Exact Hermite-Pade approximation, block Toeplitz "

@@ -8,10 +8,14 @@ its sign is the parity of sigma, which equals (-1)^{#arc crossings}.
 
     Pf_f(I) = sum over matchings of sgn * prod of f over the arcs,
 
-with Pf_f(empty) = 1. On top of the bare Pfaffian sit the Pluecker
-relation, the determinant-as-Pfaffian embedding, Sylvester's determinant
-identity, and the block-Toeplitz specialization that re-proves the
-exchange identity for D_n and E^{i,j}_n.
+with Pf_f(empty) = 1. That sum is the definition; `pfaffian` computes it
+by fraction-free skew elimination (`linalg.int_pfaffian`) in O(n^3)
+integer operations on a word of length 2n, and never enumerates the
+(2n-1)!! matchings, which `perfect_matchings` still lists on request.
+On top of the bare Pfaffian sit the Pluecker relation, the
+determinant-as-Pfaffian embedding, Sylvester's determinant identity, and
+the block-Toeplitz specialization that re-proves the exchange identity
+for D_n and E^{i,j}_n.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 from typing import Callable, Sequence
 
 from .errors import InsufficientOrder, OddLength, ParityViolation, ShapeMismatch
-from .linalg import ExactMatrix, det_exact
-from .series import SeriesFamily, rational
+from .linalg import ExactMatrix, det_exact, int_pfaffian
+from .series import SeriesFamily, rational, scale_to_integers
 from .tau import IdentityReport, _bordered_grid, _exchange_report, tau_determinant
 
 __all__ = [
@@ -165,16 +168,27 @@ def perfect_matchings(letters: Sequence[int]) -> list[PerfectMatching]:
 
 
 def pfaffian(f: SkewMap, letters: Sequence[int]) -> Fraction:
-    """Pf_f over the word: sum of signed arc-products over all matchings."""
+    """Pf_f over the word: sum of signed arc-products over all matchings.
+
+    Computed by fraction-free skew elimination, in O(n^3) integer
+    operations for a word of n letters. f is evaluated once on each pair
+    of positions p < q, and the whole upper triangle is scaled to
+    integers by one common denominator d, which keeps the matrix skew;
+    the Pfaffian of the integer matrix is then d^(n/2) times Pf_f.
+    """
     word = _word(letters)
-    if len(word) % 2:
-        raise OddLength(f"word length {len(word)} is odd")
-    if len(set(word)) != len(word):
+    n = len(word)
+    if n % 2:
+        raise OddLength(f"word length {n} is odd")
+    if len(set(word)) != n:
         return Fraction(0)
-    total = Fraction(0)
-    for m in perfect_matchings(word):
-        total += m.sign * prod((f(a, b) for a, b in m.arcs), start=Fraction(1))
-    return total
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    d, upper = scale_to_integers([f(word[p], word[q]) for p, q in pairs])
+    rows = [[0] * n for _ in range(n)]
+    for (p, q), x in zip(pairs, upper):
+        rows[p][q] = x
+        rows[q][p] = -x
+    return Fraction(int_pfaffian(rows), d ** (n // 2))
 
 
 def det_g(g: PairMap, rows: Sequence[int], cols: Sequence[int]) -> Fraction:

@@ -5,7 +5,11 @@ computation that shares no code with the library: Laplace-expansion
 determinants, Cramer solves, cofactor-expansion polynomial determinants
 and adjugates, schoolbook polynomial-matrix products, schoolbook convolution and long division for series,
 first-letter Pfaffian expansion, and a from-scratch residual for the
-expansion at irregular infinity.  Oracles work on plain lists of
+expansion at irregular infinity.  The Pfaffian's defining sum over
+perfect matchings, which `pfaffian` no longer takes, is kept here as a
+second Pfaffian oracle; it reads the matchings and their signs from
+`perfect_matchings`, which is tested on its own against hand counts and
+crossing parities.  Oracles work on plain lists of
 `fractions.Fraction` so a library bug cannot hide in both routes.  The
 exceptions are the three Fraction routes the library no longer takes,
 kept here as oracles.  Two build their block Toeplitz matrices entry by
@@ -42,6 +46,7 @@ from padetau import (
     ToeplitzBlockSpec,
     TruncatedSeries,
     det_exact,
+    perfect_matchings,
     solve_exact,
 )
 from padetau.ode import _a_tilde
@@ -385,6 +390,23 @@ def pf_expand(f, word) -> Fraction:
         if val != 0:
             total += sign * val * pf_expand(f, w[1:k] + w[k + 1 :])
         sign = -sign
+    return total
+
+
+def pf_matching_sum(f, word) -> Fraction:
+    """The defining sum: sgn times the arc product over every matching.
+
+    This is the route `pfaffian` took before it moved to skew elimination;
+    it costs (2n-1)!! terms, so keep words to ten letters or fewer. A
+    repeated letter needs no special case: the position matrix then has
+    two equal rows and the sum cancels to zero.
+    """
+    total = Fraction(0)
+    for m in perfect_matchings(word):
+        term = Fraction(m.sign)
+        for a, b in m.arcs:
+            term *= f(a, b)
+        total += term
     return total
 
 

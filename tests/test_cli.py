@@ -636,3 +636,33 @@ class TestUsageAndIOErrors:
         code, out, err = run(capsys, ["approx", path, "-n", "1"])
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestParserReuse:
+    def test_one_parser_serves_mixed_calls_in_any_order(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("SEED", raising=False)
+        fam = write_json(tmp_path, "fam.json", arithmetic_file())
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json", encoding="utf-8")
+        argvs = [
+            ["approx", fam, "-n", "2", "--emit", "all"],
+            ["approx", fam],
+            ["approx", fam, "-n", "1", "--emit", "xyz"],
+            ["ode", "--pii", "-1/2", "0", "-1", "1", "2", "--order", "10"],
+            ["tau", str(broken), "--n-max", "2"],
+            ["tau", fam, "--n-max", "2"],
+            ["selfcheck", "--suite", "pfaffian", "--trials", "2", "--seed", "3"],
+            ["accessory", "1,1;1,1;1,1", "-L", "2", "-N", "1"],
+            ["frobnicate"],
+        ]
+        fresh = {}
+        for argv in argvs:
+            padetau.cli._build_parser.cache_clear()
+            fresh[tuple(argv)] = run(capsys, argv)
+        assert {code for code, _, _ in fresh.values()} >= {0, 1}
+
+        padetau.cli._build_parser.cache_clear()
+        for order in (argvs, argvs[::-1]):
+            for argv in order:
+                assert run(capsys, argv) == fresh[tuple(argv)], argv
+        assert padetau.cli._build_parser.cache_info().misses == 1

@@ -160,6 +160,8 @@ GOLDEN = {
         "1afaa8bf9731fdff210e7a69b39ed683db779a0fbbe16d0a7689a42356e6eff8",
     "selfcheck --suite identities --seed 0":
         "ffb6416b0c1cd1654452498e61f14344e22377391937a885e30c6b94bb028f0a",
+    "selfcheck --suite pfaffian --seed 0":
+        "3b6ad8df564dffd4b1cec14e09e9d0a19661f830b406145f2df6b0d1ee252e58",
 }
 
 

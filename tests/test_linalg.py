@@ -16,6 +16,8 @@ from helpers import (
     fraction_block_matrix,
     laplace_det,
     mixed_denominator_family,
+    pf_expand,
+    pf_matching_sum,
     rand_frac,
 )
 from padetau import (
@@ -28,7 +30,14 @@ from padetau import (
     det_exact,
     solve_exact,
 )
-from padetau.linalg import _toeplitz_rows, bareiss, int_det, toeplitz_minors, toeplitz_solve
+from padetau.linalg import (
+    _toeplitz_rows,
+    bareiss,
+    int_det,
+    int_pfaffian,
+    toeplitz_minors,
+    toeplitz_solve,
+)
 
 fractions_st = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
@@ -242,6 +251,62 @@ def test_int_det_matches_laplace_oracle(rows):
         [[Fraction(x) for x in row] for row in ints]
     )
     assert int_det([]) == 1
+
+
+def skew_from_upper(n: int, upper: list[int]) -> list[list[int]]:
+    """The n x n skew matrix with the given upper triangle, row by row."""
+    a = [[0] * n for _ in range(n)]
+    values = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = next(values)
+            a[j][i] = -a[i][j]
+    return a
+
+
+def pf_oracles(a: list[list[int]]) -> tuple[Fraction, Fraction]:
+    f = lambda i, j: Fraction(a[i][j])  # noqa: E731
+    word = list(range(len(a)))
+    return pf_expand(f, word), pf_matching_sum(f, word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda half: st.tuples(
+            st.just(2 * half),
+            st.lists(
+                st.integers(-9, 9) | st.just(0),
+                min_size=half * (2 * half - 1),
+                max_size=half * (2 * half - 1),
+            ),
+        )
+    )
+)
+def test_int_pfaffian_matches_matching_oracles(case):
+    n, upper = case
+    a = skew_from_upper(n, upper)
+    expand, matching = pf_oracles(a)
+    got = int_pfaffian([row[:] for row in a])
+    assert got == expand == matching
+    assert got**2 == int_det([row[:] for row in a])
+
+
+def test_int_pfaffian_edge_cases():
+    assert int_pfaffian([]) == 1
+    assert int_pfaffian([[0, 5], [-5, 0]]) == 5
+    # first row all zero
+    assert int_pfaffian(skew_from_upper(4, [0, 0, 0, 2, 3, 4])) == 0
+    # zero leading pivot: a swap of letters 1 and 2 flips the sign
+    a = skew_from_upper(4, [0, 2, 3, 5, 7, 11])
+    assert int_pfaffian([row[:] for row in a]) == 1 == pf_oracles(a)[0]
+    # letters 0 and 1 pair only with each other; the trailing block's own
+    # leading pivot is zero, so the swap comes at the second step
+    a = skew_from_upper(6, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 3, 5, 7, 11])
+    assert int_pfaffian([row[:] for row in a]) == 1 == pf_oracles(a)[0]
+    # a pivot row that empties after the first step
+    a = skew_from_upper(6, [1, 2, 3, 4, 5, 2, 3, 4, 5, 0, 0, 0, 0, 0, 0])
+    assert int_pfaffian([row[:] for row in a]) == 0 == pf_oracles(a)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -15,10 +16,12 @@ from helpers import (
     family_from_rows,
     laplace_det,
     pf_expand,
+    pf_matching_sum,
     position_matrix,
     rand_family,
 )
 from padetau import (
+    ExactMatrix,
     OddLength,
     PairMap,
     ParityViolation,
@@ -26,6 +29,7 @@ from padetau import (
     SkewMap,
     bordered_determinant,
     det_as_pfaffian,
+    det_exact,
     det_g,
     induced_skew_map,
     interleave,
@@ -37,7 +41,7 @@ from padetau import (
     sylvester_det,
     tau_determinant,
 )
-from padetau.sampling import random_pair_map, random_skew_map
+from padetau.sampling import random_fraction, random_pair_map, random_skew_map
 
 
 def symbols_map(scale: int = 100) -> SkewMap:
@@ -102,13 +106,129 @@ def test_pfaffian_base_cases():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_pfaffian_matches_expansion_oracle(half, seed):
     rng = random.Random(seed)
     letters = list(range(1, 2 * half + 1))
     rng.shuffle(letters)
     f = random_skew_map(rng, range(1, 2 * half + 1))
-    assert pfaffian(f, letters) == pf_expand(f, letters)
+    got = pfaffian(f, letters)
+    assert got == pf_expand(f, letters) == pf_matching_sum(f, letters)
+
+
+def sparse_skew_map(rng: random.Random, letters, density: float) -> SkewMap:
+    """A skew map that is zero on most pairs, so pivots vanish and the
+    elimination has to swap letters."""
+    alphabet = sorted(letters)
+    table = {
+        (i, j): random_fraction(rng) if rng.random() < density else Fraction(0)
+        for p, i in enumerate(alphabet)
+        for j in alphabet[p + 1 :]
+    }
+    return SkewMap.from_table(table)
+
+
+def test_pfaffian_with_a_zero_leading_pivot():
+    f = SkewMap.from_table(
+        {(1, 2): 0, (1, 3): 2, (1, 4): 3, (2, 3): 5, (2, 4): 7, (3, 4): 11}
+    )
+    # Pf = f12 f34 - f13 f24 + f14 f23 = 0 - 14 + 15
+    assert pfaffian(f, [1, 2, 3, 4]) == 1
+    assert pfaffian(f, [2, 1, 3, 4]) == -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([0.15, 0.3, 0.5]), st.integers(0, 2**32 - 1))
+def test_pfaffian_of_sparse_maps(half, density, seed):
+    rng = random.Random(seed)
+    f = sparse_skew_map(rng, range(1, 11), density)
+    word = rng.sample(range(1, 11), 2 * half)
+    assert pfaffian(f, word) == pf_matching_sum(f, word)
+
+
+@pytest.mark.parametrize("half", [1, 2, 3, 4])
+def test_pfaffian_with_an_all_zero_first_row(half):
+    rng = random.Random(half)
+    word = rng.sample(range(1, 11), 2 * half)
+    dense = random_skew_map(rng, range(1, 11))
+    f = SkewMap(lambda i, j: Fraction(0) if word[0] in (i, j) else dense(i, j))
+    assert pfaffian(f, word) == 0 == pf_matching_sum(f, word)
+    assert pfaffian(f, word[1:] + word[:1]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_pfaffian_with_mixed_denominators(half, seed):
+    rng = random.Random(seed)
+    word = rng.sample(range(1, 13), 2 * half)
+    table = {
+        (i, j): Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 7, 9, 16, 27]))
+        for i in range(1, 13)
+        for j in range(i + 1, 13)
+    }
+    f = SkewMap.from_table(table)
+    assert pfaffian(f, word) == pf_matching_sum(f, word)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_pfaffian_of_induced_maps_with_zero_entries(size, seed):
+    rng = random.Random(seed)
+    g = PairMap.from_table(
+        {
+            (i, j): random_fraction(rng) if rng.random() < 0.4 else Fraction(0)
+            for i in range(1, 6)
+            for j in range(1, 6)
+        }
+    )
+    rows = rng.sample(range(1, 6), size)
+    cols = rng.sample(range(1, 6), size)
+    word = interleave(rows, cols)
+    f = induced_skew_map(g)
+    assert pfaffian(f, word) == pf_matching_sum(f, word) == det_g(g, rows, cols)
+
+
+@pytest.mark.parametrize(
+    "word", [[1, 1], [1, 2, 1, 3], [4, 2, 3, 2], [1, 2, 3, 4, 5, 1], [5, 5, 5, 5]]
+)
+def test_repeated_letters_give_exact_zero(word):
+    f = random_skew_map(random.Random(4), range(1, 6))
+    got = pfaffian(f, word)
+    assert type(got) is Fraction and got == 0
+    assert pf_matching_sum(f, word) == 0
+
+
+def test_pfaffian_enumerates_no_matchings(monkeypatch):
+    def refuse(letters):
+        raise AssertionError("pfaffian enumerated matchings")
+
+    # padetau.pfaffian names the function; the module is reached by import.
+    monkeypatch.setattr(importlib.import_module("padetau.pfaffian"), "perfect_matchings", refuse)
+    f = random_skew_map(random.Random(6), range(1, 21))
+    for length in (0, 2, 8, 20):
+        pfaffian(f, list(range(1, length + 1)))
+
+
+@pytest.mark.parametrize("length", [16, 20])
+def test_pfaffian_squares_to_determinant_beyond_the_matching_sum(length):
+    # 20 letters have 19!! (about 6.5e8) matchings.
+    rng = random.Random(length)
+    f = random_skew_map(rng, range(1, length + 1))
+    word = rng.sample(range(1, length + 1), length)
+    got = pfaffian(f, word)
+    assert got != 0
+    assert got**2 == det_exact(ExactMatrix(position_matrix(f, word)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_det_as_pfaffian_on_six_by_six_pair_maps(seed):
+    rng = random.Random(seed)
+    g = random_pair_map(rng, range(1, 7), range(1, 7))
+    rows = rng.sample(range(1, 7), 6)
+    cols = rng.sample(range(1, 7), 6)
+    rep = det_as_pfaffian(g, rows, cols)
+    assert_identity(rep)
+    assert rep.lhs != 0
 
 
 @settings(max_examples=30, deadline=None)
